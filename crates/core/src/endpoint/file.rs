@@ -18,6 +18,7 @@ use kfs::Ino;
 use kproc::{Errno, WorkClass};
 use ksim::{Dur, TraceEvent};
 
+use crate::bufwait::WaitChan;
 use crate::endpoint::ReadPlan;
 use crate::event::KWork;
 use crate::kernel::{IoCtx, Kernel};
@@ -90,13 +91,14 @@ impl Kernel {
 
     /// Issues one block read with `bread_call` (§5.2.1). Returns the CPU
     /// cost incurred in the caller's context and whether the engine
-    /// should keep issuing (false = back-off retry scheduled).
+    /// should keep issuing (false = the splice parked on a buffer wait
+    /// queue).
     ///
     /// With `retry = true` the read re-issues a block whose previous
     /// attempt failed with a device error: the read cursor already moved
-    /// past it, so only the pending-read slot is (re)claimed, and a
-    /// transient buffer shortage re-arms the retry callout for this
-    /// specific block instead of the general issue loop.
+    /// past it, so only the pending-read slot is (re)claimed, and a busy
+    /// buffer parks the retry of this specific block instead of the
+    /// general issue loop.
     pub(crate) fn file_issue_read(
         &mut self,
         id: u64,
@@ -165,7 +167,8 @@ impl Kernel {
                 (cpu, true)
             }
             BreadOutcome::Busy(_) | BreadOutcome::NoBuffers => {
-                // Back off a tick and retry.
+                // Give the slot back and wait for the buffer: the
+                // woken waiter re-issues this same block.
                 self.iodone_map.remove(&tag);
                 let d = self.splices.get_mut(&id).unwrap();
                 if !retry {
@@ -173,16 +176,16 @@ impl Kernel {
                 }
                 d.pending_reads -= 1;
                 d.issued_at.remove(&lblk);
-                self.stats.bump("splice.read_backoff");
-                self.trace
-                    .emit(now, || TraceEvent::SpliceBackoff { desc: id, lblk });
-                self.span_note(id, |s, _, _, _| s.note_backoff());
+                let chan = match out {
+                    BreadOutcome::Busy(buf) => WaitChan::Buf(buf),
+                    _ => WaitChan::AnyBuf,
+                };
                 let work = if retry {
                     KWork::SpliceRetryRead { desc: id, lblk }
                 } else {
                     KWork::SpliceIssueReads { desc: id }
                 };
-                self.callout.schedule(self.tick, 1, work);
+                self.splice_wait(chan, id, lblk, "splice.read_backoff", work);
                 (cpu, false)
             }
         }
@@ -210,7 +213,7 @@ impl Kernel {
             .cache
             .alloc_shared_header(dev, dst_pblk, data, bs, sref)
         {
-            Some(hdr) => {
+            Ok(hdr) => {
                 self.stats.bump("splice.shared_writes");
                 let now = self.q.now();
                 self.trace
@@ -222,16 +225,13 @@ impl Kernel {
                 let sync = self.apply_cache_effects(fx, IoCtx::Kernel);
                 debug_assert!(sync.is_zero());
             }
-            None => {
-                // Destination block busy: retry next tick.
-                self.stats.bump("splice.write_backoff");
-                let now = self.q.now();
-                self.trace
-                    .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });
-                self.span_note(desc, |s, _, _, _| s.note_backoff());
-                self.callout.schedule(
-                    self.tick,
-                    1,
+            Err(busy) => {
+                // Destination block checked out: wait for its release.
+                self.splice_wait(
+                    WaitChan::Buf(busy),
+                    desc,
+                    lblk,
+                    "splice.write_backoff",
                     KWork::SpliceWrite {
                         desc,
                         lblk,
@@ -287,34 +287,38 @@ impl Kernel {
         self.trace
             .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
         self.note_write_issue_stage(desc, lblk);
-        if self.splice_append_file(disk, ino, off, &data) {
-            self.splice_block_completed(desc, lblk, data.len() as u64);
-        } else {
-            // Transient cache shortage: the offsets are preassigned and
-            // block rewrites are idempotent, so retry the same chunk at
-            // the next tick.
-            self.stats.bump("splice.append_backoff");
-            self.trace
-                .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });
-            self.span_note(desc, |s, _, _, _| s.note_backoff());
-            self.callout.schedule(
-                self.tick,
-                1,
+        match self.splice_append_file(disk, ino, off, &data) {
+            Ok(()) => self.splice_block_completed(desc, lblk, data.len() as u64),
+            // Cache contention: the offsets are preassigned and block
+            // rewrites are idempotent, so the woken waiter re-appends
+            // the same chunk.
+            Err(chan) => self.splice_wait(
+                chan,
+                desc,
+                lblk,
+                "splice.append_backoff",
                 KWork::SpliceAppend {
                     desc,
                     lblk,
                     off,
                     data,
                 },
-            );
+            ),
         }
     }
 
     /// Writes `data` to a file at `off` through the buffer cache, in
     /// kernel context (no `copyin`; the data is already in the kernel).
-    /// Returns `false` on a transient buffer shortage — the caller must
-    /// retry with the same bytes (block rewrites are idempotent).
-    fn splice_append_file(&mut self, disk: usize, ino: Ino, off: u64, data: &[u8]) -> bool {
+    /// Returns the wait channel on buffer contention — the caller must
+    /// retry with the same bytes once woken (block rewrites are
+    /// idempotent).
+    fn splice_append_file(
+        &mut self,
+        disk: usize,
+        ino: Ino,
+        off: u64,
+        data: &[u8],
+    ) -> Result<(), WaitChan> {
         let bs = self.cfg.block_size as usize;
         let dev = self.disks[disk].dev;
         let mut pos = 0usize;
@@ -328,7 +332,7 @@ impl Kernel {
                 // Out of space: drop the rest (UDP semantics for a
                 // receive-to-file splice).
                 self.stats.bump("splice.append_enospc");
-                return true;
+                return Ok(());
             };
             let mut fx = Vec::new();
             let out = self.cache.getblk(dev, pblk, bs, &mut fx);
@@ -353,9 +357,8 @@ impl Kernel {
                     }
                     self.apply_cache_effects(fx, IoCtx::Kernel);
                 }
-                kbuf::GetblkOutcome::Busy(_) | kbuf::GetblkOutcome::NoBuffers => {
-                    return false;
-                }
+                kbuf::GetblkOutcome::Busy(buf) => return Err(WaitChan::Buf(buf)),
+                kbuf::GetblkOutcome::NoBuffers => return Err(WaitChan::AnyBuf),
             }
             pos += take;
             let fs = &mut self.disks[disk].fs;
@@ -364,6 +367,6 @@ impl Kernel {
                 fs.set_size(ino, end);
             }
         }
-        true
+        Ok(())
     }
 }

@@ -15,6 +15,7 @@ use kbuf::{BufId, IoDir};
 use knet::{Datagram, SockId};
 use kproc::Pid;
 
+use crate::bufwait::WaitChan;
 use crate::endpoint::Block;
 
 /// A unit of kernel work (see module docs).
@@ -145,6 +146,12 @@ pub enum KWork {
         /// Destination host whose parked queue to drain.
         host: u32,
     },
+    /// A cache wakeup handed to the head splice parked on `chan`: re-run
+    /// its parked work (see [`crate::bufwait`]).
+    SpliceWake {
+        /// The wait queue whose head waiter runs.
+        chan: WaitChan,
+    },
     /// Finalisation: deliver `SIGIO` or wake the synchronous caller.
     SpliceComplete {
         /// Descriptor id.
@@ -163,6 +170,20 @@ pub enum KWork {
     /// per-PID CPU availability) and re-arm. Only scheduled when
     /// sampling is enabled via the builder.
     Sample,
+}
+
+impl KWork {
+    /// The splice a work item that can park on a buffer wait queue
+    /// belongs to.
+    pub(crate) fn splice_desc(&self) -> Option<u64> {
+        match self {
+            KWork::SpliceIssueReads { desc }
+            | KWork::SpliceRetryRead { desc, .. }
+            | KWork::SpliceWrite { desc, .. }
+            | KWork::SpliceAppend { desc, .. } => Some(*desc),
+            _ => None,
+        }
+    }
 }
 
 /// Entries in the global event queue.

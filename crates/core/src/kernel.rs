@@ -28,6 +28,7 @@ use kproc::{
 };
 use ksim::{Callout, Dur, EventQueue, SimTime, Stats, Trace, TraceEvent};
 
+use crate::bufwait::WaitChan;
 use crate::event::{Event, KWork};
 use crate::objects::{CharDev, CharDevUnit, DiskUnit, DiskUnitKind, FileTable};
 use crate::splice_engine::{FlowControl, SpliceDesc};
@@ -123,6 +124,9 @@ pub struct Kernel {
     pub(crate) parked_sends: HashMap<u32, VecDeque<crate::endpoint::ParkedSend>>,
     /// Hosts with a parked-queue drain callout already scheduled.
     pub(crate) park_drains: std::collections::HashSet<u32>,
+    /// Splices parked on busy buffers or on the empty free list, woken
+    /// FIFO by the cache's wakeup effects ([`crate::bufwait`]).
+    pub(crate) buf_waits: crate::bufwait::BufWaits,
     /// [PCM91] baseline: kernel-held data handles.
     pub(crate) handles: HashMap<i64, Vec<u8>>,
     pub(crate) next_handle: i64,
@@ -185,6 +189,7 @@ impl Kernel {
             next_io_token: 1,
             parked_sends: HashMap::new(),
             park_drains: std::collections::HashSet::new(),
+            buf_waits: Default::default(),
             handles: HashMap::new(),
             next_handle: 1,
             stats: Stats::new(),
@@ -571,9 +576,11 @@ impl Kernel {
                 }
                 kbuf::Effect::Wakeup { buf } => {
                     self.wakeup(Chan::new(ChanSpace::Buf, buf.0 as u64));
+                    self.wake_waiter(WaitChan::Buf(buf));
                 }
                 kbuf::Effect::BuffersAvailable => {
                     self.wakeup(Chan::new(ChanSpace::AnyBuf, 0));
+                    self.wake_waiter(WaitChan::AnyBuf);
                 }
             }
         }
@@ -1058,6 +1065,9 @@ impl Kernel {
             KWork::SpliceDevWrite { .. } => m.splice_handler,
             KWork::SpliceSockWrite { .. } => m.splice_handler,
             KWork::SpliceSockDrain { .. } => m.splice_handler,
+            // Enqueued by `wake_waiter` at its head waiter's cost, never
+            // from a callout.
+            KWork::SpliceWake { .. } => m.splice_handler,
             KWork::SpliceComplete { .. } => m.signal_delivery,
             KWork::ItimerFire { .. } => m.signal_delivery,
             KWork::Sample => m.buf_op,

@@ -63,6 +63,7 @@
 //! JSON. See `DESIGN.md` § Observability.
 
 pub mod baselines;
+pub mod bufwait;
 pub mod endpoint;
 pub mod event;
 pub mod harness;

@@ -110,17 +110,18 @@ pub struct SpliceMetrics {
     pub reads_issued: u64,
     /// Reads satisfied from the buffer cache.
     pub read_hits: u64,
-    /// Read-side retries after a busy buffer or cache exhaustion.
+    /// Read-side waits on a busy buffer or an empty free list (one per
+    /// contention; the splice parks until the buffer is released).
     pub read_backoffs: u64,
     /// Shared-header writes (the §5.2.2 no-copy write side).
     pub shared_writes: u64,
-    /// Write-side retries (destination block busy).
+    /// Write-side waits on a busy destination block (one per contention).
     pub write_backoffs: u64,
     /// Device-sink pacing stalls (DAC back-pressure).
     pub dev_backpressure: u64,
     /// Socket-sink send failures.
     pub sock_send_errs: u64,
-    /// Append-path retries on transient cache shortage.
+    /// Append-path waits on a busy block or an empty free list.
     pub append_backoffs: u64,
     /// Append-path bytes dropped for lack of disk space.
     pub append_enospc: u64,

@@ -568,6 +568,7 @@ impl Kernel {
             KWork::SpliceSockWrite { desc, lblk, src } => self.splice_sock_write(desc, lblk, src),
             KWork::SpliceSockDrain { host } => self.splice_sock_drain(host),
             KWork::SpliceComplete { desc } => self.complete_splice(desc),
+            KWork::SpliceWake { chan } => self.splice_wake(chan),
             other => panic!("not splice work: {other:?}"),
         }
     }
@@ -1116,6 +1117,7 @@ impl Kernel {
         }
         self.trace.emit(now, || TraceEvent::SpliceComplete { desc });
         self.splices.remove(&desc);
+        self.purge_waits(desc);
         self.ring_deliver(desc, outcome);
     }
 }

@@ -5,7 +5,9 @@
 //! the outside world (starting device I/O, waking a sleeping process) is
 //! returned as an [`Effect`] for the kernel to perform. "Blocking" is
 //! expressed as an outcome (`Busy`, `NoBuffers`) that tells the caller to
-//! sleep and retry — processes via the scheduler, splice via a callout.
+//! sleep and retry — processes via the scheduler, splices on the kernel's
+//! buffer wait queues (woken by the same [`Effect::Wakeup`] /
+//! [`Effect::BuffersAvailable`]).
 
 use std::collections::HashMap;
 
@@ -753,6 +755,21 @@ impl Cache {
         self.buf(id).flags.contains(BufFlags::DONE)
     }
 
+    /// Marks a checked-out buffer `B_WANTED`, so its release emits
+    /// [`Effect::Wakeup`] — how a holder that took the buffer over from a
+    /// woken waiter keeps the rest of the waiters' wakeup armed. Returns
+    /// false, changing nothing, if the buffer is idle or is a destroyed
+    /// splice header: then no release is coming and the caller must wake
+    /// the next waiter itself.
+    pub fn mark_wanted(&mut self, id: BufId) -> bool {
+        let b = &mut self.bufs[id.0 as usize];
+        if b.dead || !b.flags.contains(BufFlags::BUSY) {
+            return false;
+        }
+        b.flags.insert(BufFlags::WANTED);
+        true
+    }
+
     /// Marks a held buffer invalid so its contents are discarded on
     /// release.
     pub fn set_invalid(&mut self, id: BufId) {
@@ -765,9 +782,12 @@ impl Cache {
     /// for the destination block without allocating data memory; the
     /// header's data pointer aliases `data` (the read-side buffer's area).
     ///
-    /// Returns `None` if the destination block is currently checked out
-    /// (the splice must retry); any clean cached copy of the destination
-    /// block is invalidated so the cache never serves stale data.
+    /// Returns `Err(busy)` if the destination block is currently checked
+    /// out as buffer `busy`: like a `getblk` collision, `busy` is marked
+    /// [`BufFlags::WANTED`] so its release emits [`Effect::Wakeup`] and the
+    /// splice can wait for that instead of retrying blind. Any clean
+    /// cached copy of the destination block is invalidated so the cache
+    /// never serves stale data.
     pub fn alloc_shared_header(
         &mut self,
         dev: DevId,
@@ -775,11 +795,12 @@ impl Cache {
         data: BufData,
         len: usize,
         sref: SpliceRef,
-    ) -> Option<BufId> {
+    ) -> Result<BufId, BufId> {
         if let Some(&existing) = self.hash.get(&(dev, blkno)) {
-            let b = self.buf(existing);
+            let b = self.buf_mut(existing);
             if b.flags.contains(BufFlags::BUSY) {
-                return None;
+                b.flags.insert(BufFlags::WANTED);
+                return Err(existing);
             }
             // Invalidate the stale cached copy (it is about to be
             // overwritten on disk by the splice).
@@ -820,7 +841,7 @@ impl Cache {
         b.iodone = None;
         b.splice = Some(sref);
         self.hash.insert((dev, blkno), id);
-        Some(id)
+        Ok(id)
     }
 
     // ----- maintenance -----------------------------------------------------
@@ -1207,14 +1228,43 @@ mod tests {
     fn shared_header_defers_when_destination_busy() {
         let mut c = Cache::new(4, BS);
         let mut fx = Vec::new();
-        let BreadOutcome::Miss(_) = c.bread(DEV, 50, BS, &mut fx) else {
+        let GetblkOutcome::Held(id) = c.getblk(DEV, 50, BS, &mut fx) else {
             panic!()
         };
-        // Still busy (no biodone yet).
+        // Checked out elsewhere: the caller learns which buffer to wait
+        // on, and that buffer's release will announce itself.
         let data = BufData::from_vec(vec![1u8; BS]);
-        assert!(c
-            .alloc_shared_header(DEV, 50, data, BS, SpliceRef { desc: 0, lblk: 0 })
-            .is_none());
+        assert_eq!(
+            c.alloc_shared_header(DEV, 50, data, BS, SpliceRef { desc: 0, lblk: 0 }),
+            Err(id)
+        );
+        assert!(c.flags(id).contains(BufFlags::WANTED));
+        c.brelse(id, &mut fx);
+        assert!(fx.contains(&Effect::Wakeup { buf: id }));
+        c.check_invariants();
+    }
+
+    #[test]
+    fn mark_wanted_arms_the_release_wakeup_only_on_held_buffers() {
+        let mut c = Cache::new(4, BS);
+        let mut fx = Vec::new();
+        let BreadOutcome::Miss(id) = c.bread(DEV, 3, BS, &mut fx) else {
+            panic!()
+        };
+        c.biodone(id, false, &mut fx);
+        fx.clear();
+        assert!(c.mark_wanted(id), "held buffer accepts the mark");
+        c.brelse(id, &mut fx);
+        assert_eq!(fx, vec![Effect::Wakeup { buf: id }]);
+        assert!(!c.flags(id).contains(BufFlags::WANTED), "release clears it");
+        assert!(!c.mark_wanted(id), "idle buffer: no release is coming");
+        assert!(!c.flags(id).contains(BufFlags::WANTED));
+        // A destroyed splice header refuses the mark too.
+        let hdr = c
+            .alloc_shared_header(DEV, 9, c.data(id), BS, SpliceRef { desc: 0, lblk: 0 })
+            .unwrap();
+        c.brelse(hdr, &mut fx);
+        assert!(!c.mark_wanted(hdr));
         c.check_invariants();
     }
 

@@ -193,11 +193,12 @@ pub enum TraceEvent {
         /// Splice descriptor id.
         desc: u64,
     },
-    /// A transient resource shortage deferred a block to the callout.
+    /// Buffer contention (block busy, or no free buffer) parked a block
+    /// on a buffer wait queue until the buffer is released.
     SpliceBackoff {
         /// Splice descriptor id.
         desc: u64,
-        /// Logical block that backed off.
+        /// Logical block that waits.
         lblk: u64,
     },
     /// Recovery: a failed block read/write is being retried after its

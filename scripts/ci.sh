@@ -13,6 +13,9 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
+echo "== workspace tests (every crate's unit and integration suites) =="
+cargo test -q --workspace
+
 echo "== rustfmt (check only) =="
 cargo fmt --all -- --check
 
@@ -109,6 +112,10 @@ test -s TRACE_scp_ram.json
 echo "== property suites (differential models, props feature) =="
 cargo test -q -p ksim --features props --test props
 cargo test -q -p kbuf --features props --test props
+cargo test -q -p khw --features props --test props
+cargo test -q -p kfs --features props --test props
+cargo test -q -p kdev --features props --test props
+cargo test -q -p kproc --features props --test props
 cargo test -q --features props --test props_kernel
 
 echo "== simspeed smoke run =="
