@@ -45,7 +45,7 @@ fn main() {
         let k = run(disk, Method::Scp);
         rows.push(hist_row(
             format!("{} SCP block", disk.label()),
-            &k.kstat().splice_block_latency,
+            &k.kstat().stages.end_to_end,
         ));
         for (stage, h) in k.kstat().stages.iter() {
             stage_rows.push(hist_row(format!("{} {stage}", disk.label()), h));

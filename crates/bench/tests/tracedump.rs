@@ -68,7 +68,42 @@ fn check_workload(name: &str) -> splice::Kernel {
         starts, completes,
         "{name}: {starts} splices started but {completes} completed"
     );
+    check_counters_match_trace(name, &k);
     k
+}
+
+/// Each kernel counter is bumped at the site that emits its tracepoint,
+/// so over a run with no ring loss the two must agree exactly.
+fn check_counters_match_trace(name: &str, k: &splice::Kernel) {
+    let trace = k.trace();
+    assert_eq!(trace.dropped(), 0, "{name}: trace ring wrapped");
+    let q = trace.query();
+    let n = |event: &str| q.named(event).len() as u64;
+    let m = k.metrics();
+    let s = &m.splice;
+    let pairs = [
+        ("splice.started", s.started, "splice.start"),
+        ("splice.rejected", s.rejected, "splice.reject"),
+        ("splice.retries", s.retries, "splice.retry"),
+        ("splice.aborted", s.aborted, "splice.abort"),
+        (
+            "splice backoffs (read + write + append + dev_backpressure)",
+            s.read_backoffs + s.write_backoffs + s.append_backoffs + s.dev_backpressure,
+            "splice.backoff",
+        ),
+        ("sched.preemptions", m.sched.preemptions, "sched.preempt"),
+        ("obs.alerts", m.obs.alerts, "slo.alert"),
+        // `splice.complete` fires on every finish, aborted or not, while
+        // `completed` counts successes only.
+        (
+            "splice.completed + splice.aborted",
+            s.completed + s.aborted,
+            "splice.complete",
+        ),
+    ];
+    for (counter, value, event) in pairs {
+        assert_eq!(value, n(event), "{name}: {counter} disagrees with {event}");
+    }
 }
 
 #[test]
@@ -115,4 +150,16 @@ fn ring_trace_is_complete() {
     );
     assert_eq!(k.kstat().stages.sqe_wait.count(), 256);
     assert!(k.kstat().stages.sqe_wait.min().unwrap() > 0);
+}
+
+#[test]
+fn server_counters_match_trace() {
+    // The server's splices contend for cache buffers, so this run is
+    // the one that exercises the backoff pairing with nonzero counts.
+    let k = workloads::run("server");
+    assert!(
+        k.metrics().splice.read_backoffs > 0,
+        "server: no read backoffs"
+    );
+    check_counters_match_trace("server", &k);
 }

@@ -35,6 +35,7 @@ use ksim::TraceEvent;
 
 use crate::event::KWork;
 use crate::kernel::Kernel;
+use crate::metrics::SpliceMetrics;
 
 /// What a parked splice waits for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,17 +117,18 @@ impl BufWaits {
 
 impl Kernel {
     /// Parks splice work on `chan` after a buffer contention: counts the
-    /// wait in `counter` (one per contention), traces it as a
-    /// `SpliceBackoff`, and notes it on the splice's span.
+    /// wait in the splice total that `counter` selects (one per
+    /// contention), traces it as a `SpliceBackoff`, and notes it on the
+    /// splice's span.
     pub(crate) fn splice_wait(
         &mut self,
         chan: WaitChan,
         desc: u64,
         lblk: u64,
-        counter: &'static str,
+        counter: fn(&mut SpliceMetrics) -> &mut u64,
         work: KWork,
     ) {
-        self.stats.bump(counter);
+        *counter(&mut self.counts.splice) += 1;
         let now = self.q.now();
         self.trace
             .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });

@@ -62,7 +62,7 @@ impl Kernel {
                     if let Block::Buf(buf) = src {
                         self.release_buf(buf);
                     }
-                    self.stats.bump("io.errors");
+                    self.counts.io.errors += 1;
                     self.splice_abort(desc, kproc::Errno::Eio);
                     return;
                 }
@@ -87,7 +87,7 @@ impl Kernel {
             CharDev::Fb(_) => unreachable!("fb is not a sink"),
         };
         if accepted > 0 {
-            self.stats.add("copy.driver_bytes", accepted as u64);
+            self.counts.copy.driver_bytes += accepted as u64;
         }
         match retry_at {
             None => {
@@ -101,7 +101,7 @@ impl Kernel {
             Some(at) => {
                 let delay = at.saturating_since(now);
                 let ticks = self.dur_to_ticks(delay);
-                self.stats.bump("splice.dev_backpressure");
+                self.counts.splice.dev_backpressure += 1;
                 self.trace
                     .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });
                 self.span_note(desc, |s, _, _, _| s.note_backoff());

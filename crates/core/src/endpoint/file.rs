@@ -142,7 +142,7 @@ impl Kernel {
         let now = self.q.now();
         match out {
             BreadOutcome::Miss(_) => {
-                self.stats.bump("splice.reads_issued");
+                self.counts.splice.reads_issued += 1;
                 self.trace
                     .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
                 self.span_note(id, |s, now, pr, pw| s.note_read_issued(now, pr, pw));
@@ -151,7 +151,7 @@ impl Kernel {
             BreadOutcome::Hit(buf) => {
                 // Already cached: the handler runs straight away.
                 self.iodone_map.remove(&tag);
-                self.stats.bump("splice.read_hits");
+                self.counts.splice.read_hits += 1;
                 self.trace
                     .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
                 self.span_note(id, |s, now, pr, pw| s.note_read_hit(now, pr, pw));
@@ -185,7 +185,7 @@ impl Kernel {
                 } else {
                     KWork::SpliceIssueReads { desc: id }
                 };
-                self.splice_wait(chan, id, lblk, "splice.read_backoff", work);
+                self.splice_wait(chan, id, lblk, |s| &mut s.read_backoffs, work);
                 (cpu, false)
             }
         }
@@ -214,7 +214,7 @@ impl Kernel {
             .alloc_shared_header(dev, dst_pblk, data, bs, sref)
         {
             Ok(hdr) => {
-                self.stats.bump("splice.shared_writes");
+                self.counts.splice.shared_writes += 1;
                 let now = self.q.now();
                 self.trace
                     .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
@@ -231,7 +231,7 @@ impl Kernel {
                     WaitChan::Buf(busy),
                     desc,
                     lblk,
-                    "splice.write_backoff",
+                    |s| &mut s.write_backoffs,
                     KWork::SpliceWrite {
                         desc,
                         lblk,
@@ -296,7 +296,7 @@ impl Kernel {
                 chan,
                 desc,
                 lblk,
-                "splice.append_backoff",
+                |s| &mut s.append_backoffs,
                 KWork::SpliceAppend {
                     desc,
                     lblk,
@@ -331,7 +331,7 @@ impl Kernel {
             let Ok(pblk) = self.disks[disk].fs.bmap_alloc(ino, lblk) else {
                 // Out of space: drop the rest (UDP semantics for a
                 // receive-to-file splice).
-                self.stats.bump("splice.append_enospc");
+                self.counts.splice.append_enospc += 1;
                 return Ok(());
             };
             let mut fx = Vec::new();

@@ -52,7 +52,7 @@ impl Kernel {
                 }
             }
             Err(_) => {
-                self.stats.bump("splice.sock_send_err");
+                self.counts.splice.sock_send_errs += 1;
                 self.trace
                     .emit(now, || TraceEvent::NetDrop { sock: sock.0, len });
             }
@@ -114,7 +114,6 @@ impl Kernel {
         let queued = host.is_some_and(|h| self.parked_sends.get(&h).is_some_and(|q| !q.is_empty()));
         if let Some(host) = host {
             if queued || self.net.send_would_block(now, sock, payload.len()) {
-                self.stats.bump("splice.sock_snd_blocked");
                 self.parked_sends
                     .entry(host)
                     .or_default()

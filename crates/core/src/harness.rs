@@ -259,7 +259,7 @@ impl Kernel {
             fs.sync(kind.store_mut());
         }
         self.cache.invalidate_all();
-        self.stats.bump("harness.cold_cache");
+        self.counts.cold_caches += 1;
     }
 
     /// Runs `fsck` on every mounted filesystem, returning all errors.

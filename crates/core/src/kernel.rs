@@ -14,7 +14,7 @@
 //!
 //! Deferrable (softclock-class) work beyond the per-tick budget queues in
 //! `deferred` and runs either in later ticks' budgets or — without any
-//! budget — whenever no user process wants the CPU ([`Kernel::maybe_pump`]).
+//! budget — whenever no user process wants the CPU (`Kernel::maybe_pump`).
 
 use std::collections::{HashMap, VecDeque};
 
@@ -26,7 +26,7 @@ use kproc::{
     Admit, Chan, ChanSpace, CpuEngine, Pid, ProcState, ProcTable, Program, RunKind, Scheduler, Sig,
     Step, WorkClass,
 };
-use ksim::{Callout, Dur, EventQueue, SimTime, Stats, Trace, TraceEvent};
+use ksim::{Callout, Dur, EventQueue, SimTime, Trace, TraceEvent};
 
 use crate::bufwait::WaitChan;
 use crate::event::{Event, KWork};
@@ -127,10 +127,11 @@ pub struct Kernel {
     /// Splices parked on busy buffers or on the empty free list, woken
     /// FIFO by the cache's wakeup effects ([`crate::bufwait`]).
     pub(crate) buf_waits: crate::bufwait::BufWaits,
-    /// [PCM91] baseline: kernel-held data handles.
+    /// \[PCM91\] baseline: kernel-held data handles.
     pub(crate) handles: HashMap<i64, Vec<u8>>,
     pub(crate) next_handle: i64,
-    pub(crate) stats: Stats,
+    /// The counters the kernel keeps itself (read by [`Kernel::metrics`]).
+    pub(crate) counts: crate::metrics::Counts,
     /// Structured statistics: splice spans plus latency histograms
     /// (exposed through [`Kernel::kstat`] and [`Kernel::metrics`]).
     pub(crate) kstat: ksim::Kstat,
@@ -192,7 +193,7 @@ impl Kernel {
             buf_waits: Default::default(),
             handles: HashMap::new(),
             next_handle: 1,
-            stats: Stats::new(),
+            counts: Default::default(),
             kstat: ksim::Kstat::new(),
             io_issued: HashMap::new(),
             trace: Trace::new(DEFAULT_TRACE_CAPACITY),
@@ -356,19 +357,12 @@ impl Kernel {
 
     /// Close-side observability: commit or discard the connection's
     /// staged span, feed the SLO monitor, and on a burn-rate alert emit
-    /// the tracepoint, bump `slo.*`, and freeze the flight recorder.
+    /// the tracepoint and freeze the flight recorder.
     /// Returns the simulated CPU to charge the closing path.
     pub(crate) fn obs_close(&mut self, sock: u32) -> Dur {
         let now = self.q.now();
         let out = self.obs.note_close(now, sock);
-        if out.observed {
-            self.stats.bump("slo.request");
-            if out.violation {
-                self.stats.bump("slo.violation");
-            }
-        }
         if let Some(alert) = out.alert {
-            self.stats.bump("slo.alert");
             self.trace.emit(now, || TraceEvent::SloAlert {
                 burn_milli: alert.burn_milli,
                 window_viol: alert.window_viol,
@@ -471,7 +465,7 @@ impl Kernel {
         }
         self.procs.set_state(cur.pid, ProcState::Runnable);
         self.sched.enqueue(cur.pid);
-        self.stats.bump("sched.preemptions");
+        self.counts.sched.preemptions += 1;
         self.trace
             .emit(now, || TraceEvent::SchedPreempt { pid: cur.pid.0 });
     }
@@ -491,7 +485,7 @@ impl Kernel {
             .collect();
         for pid in pending {
             self.pending_after.insert(pid, AfterCpu::Retry);
-            self.stats.bump("sched.wakeup_races");
+            self.counts.sched.wakeup_races += 1;
         }
     }
 
@@ -611,9 +605,9 @@ impl Kernel {
         let sector = blkno * (self.cfg.block_size as u64 / khw::SECTOR_SIZE as u64);
         if dir == IoDir::Write {
             self.disks[disk_idx].write_inflight += 1;
-            self.stats.add("io.write_bytes", len as u64);
+            self.counts.io.write_bytes += len as u64;
         } else {
-            self.stats.add("io.read_bytes", len as u64);
+            self.counts.io.read_bytes += len as u64;
         }
         // Reads that enter service immediately (an idle SCSI drive, or the
         // synchronous RAM-disk strategy call) waited zero time in the
@@ -634,7 +628,7 @@ impl Kernel {
                 let token = self.next_io_token;
                 self.next_io_token += 1;
                 self.io_tokens.insert((disk_idx, token), (buf, dir));
-                self.stats.add("copy.driver_bytes", len as u64);
+                self.counts.copy.driver_bytes += len as u64;
                 match d.submit(now, token, op, sector, len, data) {
                     Some(started) => {
                         self.q.schedule(
@@ -666,7 +660,7 @@ impl Kernel {
                                 rd.write_checked(sector, &self.cache.data(buf).to_vec())
                             }
                         };
-                        self.stats.add("copy.driver_bytes", len as u64);
+                        self.counts.copy.driver_bytes += len as u64;
                         self.finish_io(disk_idx, buf, dir, error);
                         cost
                     }
@@ -712,7 +706,7 @@ impl Kernel {
         }
         let now = self.q.now();
         if error {
-            self.stats.bump("io.errors");
+            self.counts.io.errors += 1;
             let blkno = self.cache.identity(buf).map_or(0, |(_, b)| b);
             self.trace.emit(now, || TraceEvent::DiskError {
                 disk: disk_idx as u32,
@@ -773,7 +767,7 @@ impl Kernel {
             }
             Admit::Deferred => unreachable!("Intr work is never deferred"),
         }
-        self.stats.bump("sched.ctx_switches");
+        self.counts.sched.ctx_switches += 1;
     }
 
     /// Starts a run chunk for `pid` and schedules its completion.
@@ -917,7 +911,7 @@ impl Kernel {
         let now = self.q.now();
         self.procs.must_mut(pid).ended = Some(now);
         self.procs.set_state(pid, ProcState::Exited(code));
-        self.stats.bump("proc.exits");
+        self.counts.sched.exits += 1;
         self.try_dispatch();
     }
 
@@ -1112,7 +1106,7 @@ impl Kernel {
                     }
                     IoDir::Write => rd.write_checked(sector, &self.cache.data(buf).to_vec()).1,
                 };
-                self.stats.add("copy.driver_bytes", len as u64);
+                self.counts.copy.driver_bytes += len as u64;
                 self.finish_io(disk, buf, dir, error);
             }
             KWork::NetRx { dst, dgram } => self.net_rx(dst, dgram),
@@ -1134,7 +1128,7 @@ impl Kernel {
                         flushed += 1;
                     }
                 }
-                self.stats.add("update.flushed", flushed);
+                self.counts.update_flushes += flushed;
                 if let Some(period) = self.cfg.update_interval {
                     let ticks = (period.as_ns() / self.cfg.machine.tick().as_ns()).max(1);
                     self.callout.schedule(self.tick, ticks, KWork::UpdateFlush);
@@ -1262,7 +1256,7 @@ impl Kernel {
                     // execution and raced this dispatch. The process keeps
                     // its turn; the occupying chunk's completion path
                     // re-dispatches.
-                    self.stats.bump("sched.dispatch_races");
+                    self.counts.sched.dispatch_races += 1;
                     if self
                         .procs
                         .get(pid)

@@ -1,14 +1,12 @@
 //! The typed metrics surface: [`MetricsSnapshot`] and its sub-structs.
 //!
-//! Historically the kernel exposed its raw [`ksim::Stats`] counter bag
-//! (`kernel.stats().get("copy.copyout_bytes")`) — stringly-typed, easy
-//! to typo, and invisible to the compiler when a counter was renamed.
-//! The counter bag still exists internally (it is the cheapest possible
-//! emission path for the hot code), but the public surface is now
-//! [`Kernel::metrics`], which folds the counters, the structured
-//! [`ksim::Kstat`] block (splice spans, latency histograms), the buffer
-//! cache, the CPU engine, and the network stack into one typed,
-//! self-describing snapshot:
+//! Each counter has one typed home. Counters the kernel keeps itself
+//! live in a crate-private `Counts` block built from these same
+//! section types (`self.counts.copy.copyout_bytes += n`); the buffer
+//! cache, CPU engine and network stack keep theirs in their own `Copy`
+//! stats structs. [`Kernel::metrics`] copies all of them, plus the
+//! structured [`ksim::Kstat`] block (splice spans, latency histograms),
+//! into one typed, self-describing snapshot:
 //!
 //! ```
 //! use khw::DiskProfile;
@@ -36,7 +34,7 @@
 
 use std::ops::Index;
 
-use ksim::{Dur, HistSummary, Json, SimTime, SpliceSpan, SpliceSpans};
+use ksim::{HistSummary, Json, SimTime, SpliceSpan, SpliceSpans};
 
 use crate::kernel::Kernel;
 
@@ -51,6 +49,8 @@ pub struct CopyMetrics {
     /// Driver/pseudo-DMA traffic at the device boundary.
     pub driver_bytes: u64,
     /// Cache-to-cache copies (zero when the shared-header path works).
+    /// No path copies cache-to-cache, so this is always 0; it is kept
+    /// for the artifact schema.
     pub cache_bytes: u64,
     /// Socket-buffer copies on the network path.
     pub net_bytes: u64,
@@ -155,24 +155,9 @@ pub struct SchedMetrics {
     pub exits: u64,
 }
 
-/// Kernel CPU time by work class (the availability accounting).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CpuMetrics {
-    /// Interrupt-class kernel time.
-    pub intr_time: Dur,
-    /// Softclock-class kernel time run within tick budgets.
-    pub soft_time: Dur,
-    /// Softclock-class kernel time run in idle cycles.
-    pub idle_soft_time: Dur,
-    /// Interrupt-class work items admitted.
-    pub intr_items: u64,
-    /// Soft-class work items admitted within budget.
-    pub soft_items: u64,
-    /// Soft-class work items pushed past their tick budget.
-    pub soft_deferred: u64,
-    /// Soft-class work items run during idle.
-    pub idle_soft_items: u64,
-}
+/// Kernel CPU time by work class (the availability accounting): the
+/// CPU engine's own counters.
+pub use kproc::CpuStats as CpuMetrics;
 
 /// Network stack counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -252,7 +237,8 @@ pub struct LatencyMetrics {
     pub bread: HistSummary,
     /// `bwrite` issue → `biodone`.
     pub bwrite: HistSummary,
-    /// Splice block round-trip: read issue → write completion.
+    /// Splice block round-trip: read issue → write completion (the
+    /// `end_to_end` stage histogram).
     pub splice_block: HistSummary,
 }
 
@@ -286,6 +272,29 @@ pub struct MetricsSnapshot {
     pub update_flushes: u64,
     /// Harness cold-cache flushes (experiment setup, not workload).
     pub cold_caches: u64,
+}
+
+/// The counters the kernel keeps itself, each in the snapshot section
+/// that reports it. Call sites bump a field directly
+/// (`self.counts.copy.copyout_bytes += n`); [`Kernel::metrics`] copies
+/// the sections out.
+#[derive(Debug, Default)]
+pub(crate) struct Counts {
+    pub(crate) copy: CopyMetrics,
+    pub(crate) io: IoMetrics,
+    pub(crate) sched: SchedMetrics,
+    /// Splice totals. `spans` stays empty: the live spans are `kstat`'s.
+    pub(crate) splice: SpliceMetrics,
+    /// Cached blocks purged by truncation.
+    pub(crate) trunc_purged: u64,
+    /// Busy blocks detached by truncation.
+    pub(crate) trunc_detached: u64,
+    /// Datagrams dropped on delivery.
+    pub(crate) rx_dropped: u64,
+    /// Buffers flushed by the `update` daemon.
+    pub(crate) update_flushes: u64,
+    /// Harness cold-cache flushes.
+    pub(crate) cold_caches: u64,
 }
 
 impl MetricsSnapshot {
@@ -450,25 +459,13 @@ impl Kernel {
     /// cache and scheduler behavior, CPU time by class, per-splice
     /// lifecycle spans, and latency digests.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let st = &self.stats;
+        let c = &self.counts;
         let cs = self.cache.stats();
         let ns = self.net.stats();
-        let cpu = self.cpu.stats();
         MetricsSnapshot {
             at: self.now(),
-            copy: CopyMetrics {
-                copyin_bytes: st.get("copy.copyin_bytes"),
-                copyout_bytes: st.get("copy.copyout_bytes"),
-                driver_bytes: st.get("copy.driver_bytes"),
-                cache_bytes: st.get("copy.cache_bytes"),
-                net_bytes: st.get("copy.net_bytes"),
-            },
-            io: IoMetrics {
-                read_bytes: st.get("io.read_bytes"),
-                write_bytes: st.get("io.write_bytes"),
-                readaheads: st.get("read.readahead"),
-                errors: st.get("io.errors"),
-            },
+            copy: c.copy,
+            io: c.io,
             cache: CacheMetrics {
                 hits: cs.hits,
                 misses: cs.misses,
@@ -476,42 +473,15 @@ impl Kernel {
                 readaheads: cs.readaheads,
                 evictions: cs.evictions,
                 bcall_completions: cs.bcall_completions,
-                trunc_purged: st.get("cache.trunc_purged"),
-                trunc_detached: st.get("cache.trunc_detached"),
+                trunc_purged: c.trunc_purged,
+                trunc_detached: c.trunc_detached,
             },
             splice: SpliceMetrics {
-                started: st.get("splice.started"),
-                completed: st.get("splice.completed"),
-                rejected: st.get("splice.rejected"),
-                reads_issued: st.get("splice.reads_issued"),
-                read_hits: st.get("splice.read_hits"),
-                read_backoffs: st.get("splice.read_backoff"),
-                shared_writes: st.get("splice.shared_writes"),
-                write_backoffs: st.get("splice.write_backoff"),
-                dev_backpressure: st.get("splice.dev_backpressure"),
-                sock_send_errs: st.get("splice.sock_send_err"),
-                append_backoffs: st.get("splice.append_backoff"),
-                append_enospc: st.get("splice.append_enospc"),
-                retries: st.get("splice.retries"),
-                aborted: st.get("splice.aborted"),
                 spans: self.kstat.spans.clone(),
+                ..c.splice
             },
-            sched: SchedMetrics {
-                ctx_switches: st.get("sched.ctx_switches"),
-                preemptions: st.get("sched.preemptions"),
-                wakeup_races: st.get("sched.wakeup_races"),
-                dispatch_races: st.get("sched.dispatch_races"),
-                exits: st.get("proc.exits"),
-            },
-            cpu: CpuMetrics {
-                intr_time: cpu.get_dur("cpu.intr"),
-                soft_time: cpu.get_dur("cpu.soft"),
-                idle_soft_time: cpu.get_dur("cpu.idle_soft"),
-                intr_items: cpu.get("cpu.intr_items"),
-                soft_items: cpu.get("cpu.soft_items"),
-                soft_deferred: cpu.get("cpu.soft_deferred"),
-                idle_soft_items: cpu.get("cpu.idle_soft_items"),
-            },
+            sched: c.sched,
+            cpu: self.cpu.stats(),
             net: NetMetrics {
                 sent: ns.sent,
                 delivered: ns.delivered,
@@ -524,14 +494,14 @@ impl Kernel {
                 discarded_close: ns.discarded_close,
                 conns_opened: ns.conns_opened,
                 bytes_delivered: ns.bytes_delivered,
-                rx_dropped: st.get("net.rx_dropped"),
+                rx_dropped: c.rx_dropped,
                 backlog_peak: ns.backlog_peak,
             },
             latency: LatencyMetrics {
                 read_wait: HistSummary::from(&self.kstat.read_wait),
                 bread: HistSummary::from(&self.kstat.bread_latency),
                 bwrite: HistSummary::from(&self.kstat.bwrite_latency),
-                splice_block: HistSummary::from(&self.kstat.splice_block_latency),
+                splice_block: HistSummary::from(&self.kstat.stages.end_to_end),
             },
             obs: {
                 let oc = self.obs.counters();
@@ -556,8 +526,8 @@ impl Kernel {
                         .map(|e| (e.conn, e.trace_seq)),
                 }
             },
-            update_flushes: st.get("update.flushed"),
-            cold_caches: st.get("harness.cold_cache"),
+            update_flushes: c.update_flushes,
+            cold_caches: c.cold_caches,
         }
     }
 

@@ -317,7 +317,7 @@ impl Kernel {
                 ..route
             },
         );
-        self.stats.bump("splice.started");
+        self.counts.splice.started += 1;
         let now = self.q.now();
         self.kstat.spans.start(id, now);
         self.trace.emit(now, || TraceEvent::SpliceStart {
@@ -388,7 +388,7 @@ impl Kernel {
     /// return (`splice(2)`, ring syscalls) or an error CQE (per-entry
     /// ring submission failures). Returns the errno for convenience.
     pub(crate) fn splice_reject_note(&mut self, e: Errno) -> Errno {
-        self.stats.bump("splice.rejected");
+        self.counts.splice.rejected += 1;
         let now = self.q.now();
         self.trace.emit(now, || TraceEvent::SpliceReject {
             errno: errno_name(e),
@@ -521,7 +521,7 @@ impl Kernel {
                     d.next_read += 1;
                     d.pending_reads += 1;
                     d.issued_at.insert(lblk, now);
-                    self.stats.bump("splice.reads_issued");
+                    self.counts.splice.reads_issued += 1;
                     self.trace
                         .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
                     self.span_note(id, |s, now, pr, pw| s.note_read_issued(now, pr, pw));
@@ -813,9 +813,7 @@ impl Kernel {
                 .record(now.since(at).as_ns());
         }
         if let Some(at) = issued {
-            let ns = now.since(at).as_ns();
-            self.kstat.splice_block_latency.record(ns);
-            self.kstat.stages.end_to_end.record(ns);
+            self.kstat.stages.end_to_end.record(now.since(at).as_ns());
         }
         if finished {
             let cost = self.cfg.machine.signal_delivery;
@@ -854,7 +852,7 @@ impl Kernel {
             self.splice_abort(desc, Errno::Eio);
             return;
         }
-        self.stats.bump("splice.retries");
+        self.counts.splice.retries += 1;
         self.trace.emit(now, || TraceEvent::SpliceRetry {
             desc,
             lblk,
@@ -946,7 +944,7 @@ impl Kernel {
             d.write_issued_at.remove(&lblk);
             return;
         };
-        self.stats.bump("splice.retries");
+        self.counts.splice.retries += 1;
         self.trace.emit(now, || TraceEvent::SpliceRetry {
             desc,
             lblk,
@@ -1016,7 +1014,7 @@ impl Kernel {
             return;
         }
         d.error = Some(e);
-        self.stats.bump("splice.aborted");
+        self.counts.splice.aborted += 1;
         let now = self.q.now();
         self.trace.emit(now, || TraceEvent::SpliceAbort {
             desc,
@@ -1110,7 +1108,7 @@ impl Kernel {
             self.rings.unbind_sock(sock);
         }
         if outcome.error.is_none() {
-            self.stats.bump("splice.completed");
+            self.counts.splice.completed += 1;
         }
         if let Some(span) = self.kstat.spans.get_mut(desc) {
             span.note_completed(now);

@@ -17,7 +17,7 @@
 //! that used to live in an ad-hoc `sock_splices` map on the kernel is
 //! part of the ring table's in-flight bookkeeping. There is exactly one
 //! code path from a [`kproc::SpliceReq`] to a
-//! [`SpliceOutcome`](crate::SpliceOutcome) —
+//! [`SpliceOutcome`] —
 //! [`splice_begin`](crate::splice_engine), reached from here.
 //!
 //! Rejections use the same funnel as `splice(2)` itself
@@ -233,7 +233,6 @@ impl Kernel {
             return self.splice_reject(Errno::Einval);
         }
         let id = self.rings.create(pid, depth, sigio, false);
-        self.stats.bump("ring.created");
         SyscallOutcome::Done {
             cpu: m.syscall + m.buf_op,
             ret: SyscallRet::Val(id as i64),
@@ -341,7 +340,6 @@ impl Kernel {
             ring,
             entries: accepted as u32,
         });
-        self.stats.add("ring.submitted", accepted as u64);
         SyscallOutcome::Done {
             cpu,
             ret: SyscallRet::Val(accepted as i64),
@@ -393,7 +391,6 @@ impl Kernel {
             ring,
             entries: n as u32,
         });
-        self.stats.add("ring.reaped", n as u64);
         SyscallOutcome::Done {
             cpu: base + m.ring_reap_entry * n as u64,
             ret: SyscallRet::Cqes(cqes),

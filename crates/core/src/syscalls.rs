@@ -2,7 +2,7 @@
 //!
 //! Calls run in the calling process's context: their CPU cost becomes a
 //! `SyscallCpu` chunk, and calls that must wait either sleep on a channel
-//! (with a [`Cont`] recording how to resume) or sleep until a known
+//! (with a `Cont` recording how to resume) or sleep until a known
 //! instant (metadata I/O, device pacing). The read/write paths move real
 //! bytes through the buffer cache, charging `copyin`/`copyout` at the
 //! machine profile's rates — the costs splice exists to remove.
@@ -80,7 +80,7 @@ pub(crate) enum Cont {
     /// `send` that hit send-buffer backpressure, parked until the link
     /// drains.
     Send { sock: SockId, data: Vec<u8> },
-    /// [PCM91] handle read in progress.
+    /// \[PCM91\] handle read in progress.
     HandleRead {
         fid: FileId,
         /// Buffer held across a biowait (resume uses it directly).
@@ -541,8 +541,8 @@ impl Kernel {
             .collect();
         let dev = self.disks[disk].dev;
         let (purged, detached) = self.cache.purge_blocks(dev, blocks.into_iter());
-        self.stats.add("cache.trunc_purged", purged as u64);
-        self.stats.add("cache.trunc_detached", detached as u64);
+        self.counts.trunc_purged += purged as u64;
+        self.counts.trunc_detached += detached as u64;
         self.disks[disk].fs.truncate(ino).expect("inode exists");
     }
 
@@ -609,7 +609,7 @@ impl Kernel {
                     CharDev::Fb(fb) => {
                         let data = fb.read(now, c.want);
                         cpu += self.cfg.machine.copy_cost(CopyKind::Copyout, c.want);
-                        self.stats.add("copy.copyout_bytes", c.want as u64);
+                        self.counts.copy.copyout_bytes += c.want as u64;
                         SyscallOutcome::Done {
                             cpu,
                             ret: SyscallRet::Data(data),
@@ -643,7 +643,7 @@ impl Kernel {
             let data = self.cache.data(buf);
             c.got.extend_from_slice(&data.bytes()[boff..boff + take]);
             cpu += m.copy_cost(CopyKind::Copyout, take);
-            self.stats.add("copy.copyout_bytes", take as u64);
+            self.counts.copy.copyout_bytes += take as u64;
             let mut fx = Vec::new();
             self.cache.brelse(buf, &mut fx);
             let sync = self.apply_cache_effects(fx, IoCtx::Process);
@@ -672,7 +672,7 @@ impl Kernel {
                 // Hole: zeros, no device traffic.
                 c.got.extend(std::iter::repeat_n(0, take));
                 cpu += m.copy_cost(CopyKind::Copyout, take);
-                self.stats.add("copy.copyout_bytes", take as u64);
+                self.counts.copy.copyout_bytes += take as u64;
                 let of = self.files.get_mut(c.fid).unwrap();
                 of.offset += take as u64;
                 of.last_lblk = Some(lblk);
@@ -693,7 +693,7 @@ impl Kernel {
                         .is_some()
                     {
                         cpu += m.buf_op;
-                        self.stats.bump("read.readahead");
+                        self.counts.io.readaheads += 1;
                     }
                     self.apply_cache_effects(fx, IoCtx::Kernel);
                 }
@@ -709,7 +709,7 @@ impl Kernel {
                     c.got.extend_from_slice(&data.bytes()[boff..boff + take]);
                     drop(data);
                     cpu += m.copy_cost(CopyKind::Copyout, take);
-                    self.stats.add("copy.copyout_bytes", take as u64);
+                    self.counts.copy.copyout_bytes += take as u64;
                     let mut fx = Vec::new();
                     self.cache.brelse(buf, &mut fx);
                     cpu += self.apply_cache_effects(fx, IoCtx::Process);
@@ -725,7 +725,7 @@ impl Kernel {
                         c.got.extend_from_slice(&data.bytes()[boff..boff + take]);
                         drop(data);
                         cpu += m.copy_cost(CopyKind::Copyout, take);
-                        self.stats.add("copy.copyout_bytes", take as u64);
+                        self.counts.copy.copyout_bytes += take as u64;
                         let mut fx = Vec::new();
                         self.cache.brelse(buf, &mut fx);
                         cpu += self.apply_cache_effects(fx, IoCtx::Process);
@@ -902,7 +902,7 @@ impl Kernel {
             // Handle/mmap baselines: the data never visited user space.
             m.buf_op
         } else {
-            self.stats.add("copy.copyin_bytes", take as u64);
+            self.counts.copy.copyin_bytes += take as u64;
             m.copy_cost(CopyKind::Copyin, take)
         };
         {
@@ -945,7 +945,7 @@ impl Kernel {
             CharDev::Audio(dac) => {
                 let took = dac.write_some(now, len);
                 if took > 0 {
-                    self.stats.add("copy.copyin_bytes", took as u64);
+                    self.counts.copy.copyin_bytes += took as u64;
                     c.done += took;
                 }
                 let copied = self.cfg.machine.copy_cost(CopyKind::Copyin, took.max(1));
@@ -968,7 +968,7 @@ impl Kernel {
             }
             CharDev::Video(v) => {
                 v.write(now, len);
-                self.stats.add("copy.copyin_bytes", len as u64);
+                self.counts.copy.copyin_bytes += len as u64;
                 c.done += len;
                 SyscallOutcome::Done {
                     cpu: base + copy,
@@ -1047,7 +1047,7 @@ impl Kernel {
                 let cpu = base
                     + self.cfg.machine.udp_packet
                     + self.cfg.machine.copy_cost(CopyKind::Net, len);
-                self.stats.add("copy.net_bytes", len as u64);
+                self.counts.copy.net_bytes += len as u64;
                 // A user-space relay serves its connection with send(2):
                 // accepted bytes land on the staged request span.
                 self.obs.note_transfer(sock.0, len as u64, None);
@@ -1069,10 +1069,6 @@ impl Kernel {
                         },
                     );
                 } else {
-                    self.stats.bump(match tx.gone {
-                        Some(knet::TxGone::Lost) => "net.tx_lost",
-                        _ => "net.tx_no_dst",
-                    });
                     self.trace.emit(now, || TraceEvent::NetDrop {
                         sock: sock.0,
                         len: len as u32,
@@ -1086,7 +1082,6 @@ impl Kernel {
             // Send buffer full: park the caller until the link drains
             // enough to fit the datagram, then re-run the send.
             Err(NetErr::WouldBlock) => {
-                self.stats.bump("net.snd_blocked");
                 let ready = self.net.link_ready_at(now, sock, len);
                 let until = ready.max(now + Dur::from_us(1));
                 SyscallOutcome::BlockUntil {
@@ -1152,7 +1147,7 @@ impl Kernel {
             let n = d.data.len().min(max_len);
             let cpu =
                 base + self.cfg.machine.udp_packet + self.cfg.machine.copy_cost(CopyKind::Net, n);
-            self.stats.add("copy.net_bytes", n as u64);
+            self.counts.copy.net_bytes += n as u64;
             return SyscallOutcome::Done {
                 cpu,
                 ret: SyscallRet::Data(d.data[..n].to_vec()),
@@ -1179,18 +1174,12 @@ impl Kernel {
                 }
             }
             knet::DeliverOutcome::NewConn { sock } => {
-                self.stats.bump("net.conns");
                 self.trace
                     .emit(now, || TraceEvent::NetDeliver { sock: sock.0, len });
                 self.wakeup(Chan::new(ChanSpace::Accept, dst.0 as u64));
             }
-            knet::DeliverOutcome::Dropped { reason } => {
-                self.stats.bump("net.rx_dropped");
-                self.stats.bump(match reason {
-                    knet::DropReason::NoReceiver => "net.rx_no_dst",
-                    knet::DropReason::RcvFull => "net.rx_rcv_full",
-                    knet::DropReason::Backlog => "net.rx_backlog",
-                });
+            knet::DeliverOutcome::Dropped { .. } => {
+                self.counts.rx_dropped += 1;
                 self.trace
                     .emit(now, || TraceEvent::NetDrop { sock: dst.0, len });
             }

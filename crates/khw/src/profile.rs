@@ -13,7 +13,7 @@
 //!   harmonic combination of a read and a write stream; streaming through
 //!   a multi-megabyte region defeats the 64 KB data cache, which is why the
 //!   driver-level copy rate sits near the uncached combination.
-//! * RZ56/RZ58 mechanics: §6.1 and [DEC92] — rotational latency, seek, peak
+//! * RZ56/RZ58 mechanics: §6.1 and \[DEC92\] — rotational latency, seek, peak
 //!   media rate, read-ahead cache size and segmentation.
 //! * Kernel path costs (syscall, context switch, interrupt service, buffer
 //!   cache bookkeeping): era-typical values for a 25 MHz R3000 running a
@@ -48,9 +48,6 @@ pub enum CopyKind {
     /// Device driver data movement (RAM-disk `bcopy`, SCSI pseudo-DMA
     /// bounce-buffer copy).
     Driver,
-    /// Kernel buffer to kernel buffer (what splice's shared data area
-    /// avoids).
-    CacheToCache,
     /// Network stack copy (socket buffer ↔ mbuf path).
     Net,
 }
@@ -271,7 +268,6 @@ impl MachineProfile {
         let bps = match kind {
             CopyKind::Copyin | CopyKind::Copyout => self.bcopy_cached_bps,
             CopyKind::Driver => self.bcopy_uncached_bps,
-            CopyKind::CacheToCache => self.bcopy_cached_bps,
             CopyKind::Net => self.net_copy_bps,
         };
         let mut cost = Dur::for_bytes(bytes as u64, bps);
@@ -282,17 +278,6 @@ impl MachineProfile {
             cost += self.user_copy_page_overhead * pages;
         }
         cost
-    }
-
-    /// Stats key for bytes moved under each copy category.
-    pub fn copy_stat_key(kind: CopyKind) -> &'static str {
-        match kind {
-            CopyKind::Copyout => "copy.copyout_bytes",
-            CopyKind::Copyin => "copy.copyin_bytes",
-            CopyKind::Driver => "copy.driver_bytes",
-            CopyKind::CacheToCache => "copy.cache_bytes",
-            CopyKind::Net => "copy.net_bytes",
-        }
     }
 }
 
@@ -349,21 +334,5 @@ mod tests {
         let ram = DiskProfile::ramdisk();
         assert_eq!(ram.bytes(), 16 * 1024 * 1024);
         assert_eq!(ram.kind, DiskKind::Ram);
-    }
-
-    #[test]
-    fn copy_stat_keys_distinct() {
-        use std::collections::HashSet;
-        let keys: HashSet<_> = [
-            CopyKind::Copyin,
-            CopyKind::Copyout,
-            CopyKind::Driver,
-            CopyKind::CacheToCache,
-            CopyKind::Net,
-        ]
-        .iter()
-        .map(|k| MachineProfile::copy_stat_key(*k))
-        .collect();
-        assert_eq!(keys.len(), 5);
     }
 }

@@ -21,7 +21,7 @@
 //! starts when the previous one finishes. User-visible delay is reported
 //! to the caller, which adds it to the running process's completion time.
 
-use ksim::{Dur, SimTime, Stats};
+use ksim::{Dur, SimTime};
 
 /// Admission class for kernel work.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -58,12 +58,31 @@ pub enum Admit {
     Deferred,
 }
 
+/// Kernel CPU time and work items by admission class.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CpuStats {
+    /// Interrupt-class kernel time.
+    pub intr_time: Dur,
+    /// Softclock-class kernel time run within tick budgets.
+    pub soft_time: Dur,
+    /// Softclock-class kernel time run in idle cycles.
+    pub idle_soft_time: Dur,
+    /// Interrupt-class work items admitted.
+    pub intr_items: u64,
+    /// Soft-class work items admitted within budget.
+    pub soft_items: u64,
+    /// Soft-class work items pushed past their tick budget.
+    pub soft_deferred: u64,
+    /// Soft-class work items run during idle.
+    pub idle_soft_items: u64,
+}
+
 /// The CPU engine. See the module docs.
 pub struct CpuEngine {
     busy_until: SimTime,
     soft_budget: Dur,
     tick_soft_used: Dur,
-    stats: Stats,
+    stats: CpuStats,
 }
 
 impl CpuEngine {
@@ -73,7 +92,7 @@ impl CpuEngine {
             busy_until: SimTime::ZERO,
             soft_budget,
             tick_soft_used: Dur::ZERO,
-            stats: Stats::new(),
+            stats: CpuStats::default(),
         }
     }
 
@@ -87,10 +106,9 @@ impl CpuEngine {
         self.soft_budget.saturating_sub(self.tick_soft_used)
     }
 
-    /// Accumulated accounting (`cpu.intr`, `cpu.soft`, `cpu.idle_soft`
-    /// durations; counters per admission).
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    /// Accumulated accounting: kernel time and items per class.
+    pub fn stats(&self) -> CpuStats {
+        self.stats
     }
 
     /// Resets the soft budget; call from the hardclock handler each tick.
@@ -113,8 +131,8 @@ impl CpuEngine {
     pub fn admit(&mut self, now: SimTime, cost: Dur, class: WorkClass) -> Admit {
         match class {
             WorkClass::Intr => {
-                self.stats.bump("cpu.intr_items");
-                self.stats.add_dur("cpu.intr", cost);
+                self.stats.intr_items += 1;
+                self.stats.intr_time += cost;
                 Admit::Run(self.run(now, cost))
             }
             WorkClass::Soft => {
@@ -123,12 +141,12 @@ impl CpuEngine {
                 // an item larger than the whole budget would starve
                 // forever).
                 if self.tick_soft_used >= self.soft_budget {
-                    self.stats.bump("cpu.soft_deferred");
+                    self.stats.soft_deferred += 1;
                     return Admit::Deferred;
                 }
                 self.tick_soft_used += cost;
-                self.stats.bump("cpu.soft_items");
-                self.stats.add_dur("cpu.soft", cost);
+                self.stats.soft_items += 1;
+                self.stats.soft_time += cost;
                 Admit::Run(self.run(now, cost))
             }
         }
@@ -137,26 +155,14 @@ impl CpuEngine {
     /// Admits deferred soft work while the CPU is otherwise idle: no
     /// budget is charged, because nobody is being starved.
     pub fn admit_idle(&mut self, now: SimTime, cost: Dur) -> KernelRun {
-        self.stats.bump("cpu.idle_soft_items");
-        self.stats.add_dur("cpu.idle_soft", cost);
+        self.stats.idle_soft_items += 1;
+        self.stats.idle_soft_time += cost;
         self.run(now, cost)
     }
 
     /// Total kernel time consumed so far (all classes).
     pub fn kernel_time(&self) -> Dur {
-        self.stats.get_dur("cpu.intr")
-            + self.stats.get_dur("cpu.soft")
-            + self.stats.get_dur("cpu.idle_soft")
-    }
-
-    /// Kernel time broken down by admission class, for the resource
-    /// accounting snapshot: `(intr, soft, idle_soft)`.
-    pub fn kernel_time_by_class(&self) -> (Dur, Dur, Dur) {
-        (
-            self.stats.get_dur("cpu.intr"),
-            self.stats.get_dur("cpu.soft"),
-            self.stats.get_dur("cpu.idle_soft"),
-        )
+        self.stats.intr_time + self.stats.soft_time + self.stats.idle_soft_time
     }
 }
 
@@ -252,7 +258,7 @@ mod tests {
         let mut cpu = CpuEngine::new(Dur::ZERO);
         let run = cpu.admit_idle(t(0), Dur::from_us(500));
         assert_eq!(run.cost(), Dur::from_us(500));
-        assert_eq!(cpu.stats().get("cpu.idle_soft_items"), 1);
+        assert_eq!(cpu.stats().idle_soft_items, 1);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod programs;
 pub mod sched;
 pub mod types;
 
-pub use cpu::{Admit, CpuEngine, KernelRun, WorkClass};
+pub use cpu::{Admit, CpuEngine, CpuStats, KernelRun, WorkClass};
 pub use process::{ProcState, ProcTable, Process};
 pub use program::{Program, Step, UserCtx};
 pub use sched::{CurrentRun, RunKind, Scheduler};

@@ -1,13 +1,14 @@
 //! Structured kernel statistics (`kstat`): typed spans, gauges, and
 //! latency distributions.
 //!
-//! [`Stats`](crate::Stats) is a bag of named counters — cheap to bump
-//! but stringly-typed and flat. The paper's evaluation, however, is
-//! about the *shape* of a splice over time: when the first read was
-//! issued, how far the write side lagged, how the watermark flow
-//! control held pending work inside its bands, how long each `bread` /
-//! `bwrite` took to come back through `biodone`. This module adds the
-//! typed layer the kernel records that shape into:
+//! Plain counters are typed fields kept by their owners: the kernel's
+//! metrics sections, the cache, the CPU engine and the network stack.
+//! The paper's evaluation, however, is also about the *shape* of a
+//! splice over time: when the first read was issued, how far the write
+//! side lagged, how the watermark flow control held pending work inside
+//! its bands, how long each `bread` / `bwrite` took to come back through
+//! `biodone`. This module holds the typed layer the kernel records that
+//! shape into:
 //!
 //! * [`SpliceSpan`] — one per splice descriptor: lifecycle timestamps
 //!   (created → first read issued → first write issued → drained →
@@ -383,8 +384,6 @@ pub struct Kstat {
     pub bwrite_latency: Hist,
     /// Time a process spent asleep in `biowait` on the read path (ns).
     pub read_wait: Hist,
-    /// Splice per-block latency: read issue → write completion (ns).
-    pub splice_block_latency: Hist,
     /// Per-stage splice pipeline latency distributions.
     pub stages: StageHists,
 }

@@ -22,6 +22,9 @@ cargo fmt --all -- --check
 echo "== clippy (workspace, warnings are errors) =="
 cargo clippy --workspace -- -D warnings
 
+echo "== rustdoc (workspace, warnings are errors: no broken or private links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== examples =="
 for ex in quickstart movie_player network_relay framebuffer_stream cpu_availability; do
     echo "-- example: $ex"

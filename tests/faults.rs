@@ -374,6 +374,8 @@ fn fault_events_appear_in_trace_and_kstat() {
     assert_eq!(q.named("disk.error").len(), 1);
     assert_eq!(q.named("splice.retry").len(), 1);
     assert_eq!(q.named("splice.abort").len(), 0);
+    let m = k.metrics();
+    assert_eq!((m.splice.retries, m.splice.aborted), (1, 0));
     // The retried block still closes its span: read -> write -> done.
     let spans = q.block_spans(1);
     assert!(spans.iter().all(|s| s.complete()), "incomplete block span");
