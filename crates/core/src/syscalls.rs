@@ -362,11 +362,11 @@ impl Kernel {
                     Err(e) => self.err(net_errno(e)),
                 }
             }
-            SyscallReq::Accept { fd } => {
+            SyscallReq::Accept { fd, block } => {
                 let Some(fid) = self.fid_of(pid, fd) else {
                     return self.err(Errno::Ebadf);
                 };
-                self.do_accept(pid, fid, base)
+                self.do_accept(pid, fid, block, base)
             }
             SyscallReq::Send { fd, data } => {
                 let Some(sock) = self.sock_of(pid, fd) else {
@@ -438,7 +438,7 @@ impl Kernel {
                 ret: SyscallRet::Val(0),
             },
             Cont::Recv { fid, max_len } => self.do_recv(pid, fid, max_len, Dur::ZERO),
-            Cont::Accept { fid } => self.do_accept(pid, fid, Dur::ZERO),
+            Cont::Accept { fid } => self.do_accept(pid, fid, true, Dur::ZERO),
             Cont::Send { sock, data } => self.do_send(sock, data, Dur::ZERO),
             Cont::HandleRead { fid, wait_buf } => {
                 self.do_handle_read_resume(pid, fid, wait_buf, Dur::ZERO)
@@ -1094,7 +1094,10 @@ impl Kernel {
         }
     }
 
-    fn do_accept(&mut self, pid: Pid, fid: FileId, base: Dur) -> SyscallOutcome {
+    /// Takes a pending connection off the listener. An empty backlog
+    /// parks the caller on the listener when `block`, and fails the poll
+    /// with `EAGAIN` otherwise: no continuation, no request span.
+    fn do_accept(&mut self, pid: Pid, fid: FileId, block: bool, base: Dur) -> SyscallOutcome {
         let Some(of) = self.files.get(fid) else {
             return self.err(Errno::Ebadf);
         };
@@ -1124,6 +1127,10 @@ impl Kernel {
                     ret: SyscallRet::NewFd(fd),
                 }
             }
+            Ok(None) if !block => SyscallOutcome::Done {
+                cpu: base,
+                ret: SyscallRet::Err(Errno::Eagain),
+            },
             Ok(None) => {
                 self.conts.insert(pid, Cont::Accept { fid });
                 SyscallOutcome::Block {

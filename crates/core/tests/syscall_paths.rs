@@ -440,3 +440,89 @@ fn closing_spliced_socket_source_completes_the_splice() {
     k.run_to_exit(horizon);
     assert!(matches!(k.procs().must(pid).state, ProcState::Exited(0)));
 }
+
+/// Listens on port 80, polls the empty listener, then connects a
+/// client to it, naps until the connection lands on the backlog, and
+/// accepts it with `block`. Also polls the drained listener and accepts
+/// on the client socket, which is not a listener.
+fn accept_script(block: bool) -> Vec<SyscallReq> {
+    use kproc::{Sig, SockAddr};
+    let server = SockAddr { host: 1, port: 80 };
+    let accept = |fd, block| SyscallReq::Accept { fd: Fd(fd), block };
+    vec![
+        SyscallReq::Socket,
+        SyscallReq::Bind {
+            fd: Fd(3),
+            port: 80,
+        },
+        SyscallReq::Listen {
+            fd: Fd(3),
+            backlog: 4,
+        },
+        accept(3, false), // [3] nothing pending
+        SyscallReq::GetTime,
+        SyscallReq::Socket,
+        SyscallReq::Connect {
+            fd: Fd(4),
+            addr: server,
+        },
+        SyscallReq::Send {
+            fd: Fd(4),
+            data: Vec::new(),
+        },
+        SyscallReq::Sigaction {
+            sig: Sig::Alrm,
+            catch: true,
+        },
+        SyscallReq::SetItimer {
+            interval: ksim::Dur::from_ms(10),
+        },
+        SyscallReq::Pause,
+        SyscallReq::SetItimer {
+            interval: ksim::Dur::ZERO,
+        },
+        accept(3, block), // [12] the pending connection
+        accept(3, false), // [13] drained again
+        accept(4, false), // [14] not a listener
+        accept(4, true),  // [15] not a listener, blocking form
+        SyscallReq::GetTime,
+    ]
+}
+
+/// `Accept { block: false }` polls: an empty listener fails with
+/// `EAGAIN`, parks nothing (a parked continuation would resume in place
+/// of the script's next call and sleep on the listener) and stages no
+/// request span; a pending connection is taken exactly as the blocking
+/// form takes it; and a non-listener fails with the blocking form's
+/// errno.
+#[test]
+fn nonblocking_accept_polls_the_listener() {
+    let mut polled = ram_kernel();
+    let r = run_script(&mut polled, accept_script(false));
+    assert_eq!(r[3], SyscallRet::Err(Errno::Eagain));
+    assert!(
+        matches!(r[4], SyscallRet::Time(_)),
+        "the failed poll must leave the caller runnable: {:?}",
+        r[4]
+    );
+    assert_eq!(r[12], SyscallRet::NewFd(Fd(5)));
+    assert_eq!(r[13], SyscallRet::Err(Errno::Eagain));
+    assert!(matches!(r[14], SyscallRet::Err(_)), "{:?}", r[14]);
+    assert_eq!(r[14], r[15], "poll and blocking accept disagree on errno");
+    assert!(matches!(r[16], SyscallRet::Time(_)), "{:?}", r[16]);
+    assert_eq!(polled.net().open_socks(), 0);
+    // Two failed polls, one accepted connection: one request span.
+    let obs = polled.obs().counters();
+    assert_eq!((obs.requests, obs.staged_peak), (1, 1));
+
+    // The same run with a blocking accept of the pending connection is
+    // indistinguishable: same results, same clock, same counters.
+    let mut blocking = ram_kernel();
+    let b = run_script(&mut blocking, accept_script(true));
+    assert_eq!(r, b);
+    assert_eq!(polled.now(), blocking.now());
+    assert_eq!(
+        polled.metrics().sched.ctx_switches,
+        blocking.metrics().sched.ctx_switches
+    );
+}

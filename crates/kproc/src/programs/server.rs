@@ -22,7 +22,7 @@ use ksim::{Dur, Hist, SimTime};
 
 use crate::program::{Program, Step, UserCtx};
 use crate::programs::util::pattern_check;
-use crate::types::{Fd, OpenFlags, Sig, SockAddr, SpliceReq, SyscallReq, SyscallRet};
+use crate::types::{Errno, Fd, OpenFlags, Sig, SockAddr, SpliceReq, SyscallReq, SyscallRet};
 
 /// Aggregated results of one server scenario run, shared by every
 /// client (single-threaded simulation: `Rc<RefCell>` is the idiom the
@@ -214,11 +214,14 @@ impl Program for ServerClient {
 pub enum ServeMode {
     /// One synchronous `splice(2)` per connection.
     Splice,
-    /// Batched: waves of up to `depth` accepted connections submitted
-    /// through one splice ring (one submit + one reap crossing per
-    /// wave).
+    /// Batched: waves of the pending connections, capped at `depth`,
+    /// submitted through one splice ring (one submit + one reap crossing
+    /// per wave). A wave blocks only for its first connection, then takes
+    /// whatever else the listener already holds, so a lightly loaded
+    /// server never waits for a wave to fill.
     Ring {
-        /// Ring depth (also the wave size and file-descriptor pool).
+        /// Ring depth (also the largest wave and the file-descriptor
+        /// pool).
         depth: u32,
     },
     /// User-space baseline: `read` 8 KB into a user buffer, `send` it —
@@ -324,16 +327,24 @@ impl SpliceServer {
         self.stats.borrow_mut().served += 1;
         if self.served < self.n_conns {
             self.st = 11;
-            Step::Syscall(SyscallReq::Accept {
-                fd: self.lfd.unwrap(),
-            })
+            self.accept(true)
         } else {
             self.st = 15;
             Step::Syscall(SyscallReq::Close(self.lfd.unwrap()))
         }
     }
 
-    /// Starts a ring wave: accept up to `depth` connections.
+    /// `accept` on the listener; `block: false` polls.
+    fn accept(&self, block: bool) -> Step {
+        Step::Syscall(SyscallReq::Accept {
+            fd: self.lfd.unwrap(),
+            block,
+        })
+    }
+
+    /// Starts a ring wave: block for its first connection. The wave is
+    /// capped at `depth` and at the connections still to serve; it ends
+    /// early when the listener runs dry.
     fn start_wave(&mut self) -> Step {
         let ServeMode::Ring { depth } = self.mode else {
             unreachable!()
@@ -341,9 +352,7 @@ impl SpliceServer {
         self.wave = (depth as usize).min(self.n_conns - self.served);
         self.conn_fds.clear();
         self.st = 33;
-        Step::Syscall(SyscallReq::Accept {
-            fd: self.lfd.unwrap(),
-        })
+        self.accept(true)
     }
 }
 
@@ -416,9 +425,7 @@ impl Program for SpliceServer {
                     return Step::Syscall(SyscallReq::Close(self.lfd.unwrap()));
                 }
                 self.st = 11;
-                Step::Syscall(SyscallReq::Accept {
-                    fd: self.lfd.unwrap(),
-                })
+                self.accept(true)
             }
             11 => {
                 self.conn = ctx.take_ret().as_fd();
@@ -502,7 +509,7 @@ impl Program for SpliceServer {
                 }
             }
 
-            // ---- ring mode: waves of depth connections ----------------
+            // ---- ring mode: waves of the pending connections -----------
             30 => {
                 let ret = ctx.take_ret();
                 if ret.as_val() < 0 {
@@ -538,15 +545,19 @@ impl Program for SpliceServer {
                 self.start_wave()
             }
             33 => {
-                let fd = ctx.take_ret().as_fd();
-                let Some(fd) = fd else {
-                    return Step::Exit(2);
-                };
-                self.conn_fds.push(fd);
-                if self.conn_fds.len() < self.wave {
-                    return Step::Syscall(SyscallReq::Accept {
-                        fd: self.lfd.unwrap(),
-                    });
+                match ctx.take_ret() {
+                    SyscallRet::NewFd(fd) => {
+                        self.conn_fds.push(fd);
+                        if self.conn_fds.len() < self.wave {
+                            // Drain the backlog without sleeping.
+                            return self.accept(false);
+                        }
+                    }
+                    // The backlog ran dry: submit the partial wave.
+                    SyscallRet::Err(Errno::Eagain) if !self.conn_fds.is_empty() => {
+                        self.wave = self.conn_fds.len();
+                    }
+                    _ => return Step::Exit(2),
                 }
                 self.i = 0;
                 self.st = 34;
@@ -793,7 +804,10 @@ mod tests {
         ctx.ret = Some(SyscallRet::NewFd(Fd(4)));
         assert!(matches!(
             s.step(&mut ctx),
-            Step::Syscall(SyscallReq::Accept { fd: Fd(3) })
+            Step::Syscall(SyscallReq::Accept {
+                fd: Fd(3),
+                block: true
+            })
         ));
         ctx.ret = Some(SyscallRet::NewFd(Fd(5)));
         assert!(matches!(
@@ -861,14 +875,21 @@ mod tests {
             Step::Syscall(SyscallReq::Open { .. })
         ));
         ctx.ret = Some(SyscallRet::NewFd(Fd(5)));
+        // The wave's first accept sleeps; the rest drain the backlog.
         assert!(matches!(
             s.step(&mut ctx),
-            Step::Syscall(SyscallReq::Accept { .. })
+            Step::Syscall(SyscallReq::Accept {
+                fd: Fd(3),
+                block: true
+            })
         ));
         ctx.ret = Some(SyscallRet::NewFd(Fd(6)));
         assert!(matches!(
             s.step(&mut ctx),
-            Step::Syscall(SyscallReq::Accept { .. })
+            Step::Syscall(SyscallReq::Accept {
+                fd: Fd(3),
+                block: false
+            })
         ));
         ctx.ret = Some(SyscallRet::NewFd(Fd(7)));
         assert!(matches!(
@@ -920,6 +941,91 @@ mod tests {
         ctx.ret = Some(SyscallRet::Val(0));
         assert!(matches!(s.step(&mut ctx), Step::Exit(0)));
         assert_eq!(stats.borrow().served, 2);
+    }
+
+    /// A depth-4 ring server for 3 connections, stepped to the first
+    /// (blocking) accept of its first wave.
+    fn ring_server_at_first_accept() -> (SpliceServer, UserCtx) {
+        let mut s = SpliceServer::new(
+            80,
+            "/d0/f",
+            8192,
+            3,
+            8,
+            ServeMode::Ring { depth: 4 },
+            scenario_stats(),
+        );
+        let mut ctx = ctx_with(SyscallRet::Val(0));
+        ctx.ret = None;
+        s.step(&mut ctx); // Socket
+        for ret in [
+            SyscallRet::NewFd(Fd(3)), // → Bind
+            SyscallRet::Val(0),       // → Listen
+            SyscallRet::Val(0),       // → RingCreate
+            SyscallRet::Val(9),       // ring id → Open
+            SyscallRet::NewFd(Fd(4)), // → Open
+            SyscallRet::NewFd(Fd(5)), // → Open
+        ] {
+            ctx.ret = Some(ret);
+            s.step(&mut ctx);
+        }
+        ctx.ret = Some(SyscallRet::NewFd(Fd(6)));
+        assert!(matches!(
+            s.step(&mut ctx),
+            Step::Syscall(SyscallReq::Accept {
+                fd: Fd(3),
+                block: true
+            })
+        ));
+        (s, ctx)
+    }
+
+    #[test]
+    fn ring_server_submits_partial_wave_when_backlog_empties() {
+        let (mut s, mut ctx) = ring_server_at_first_accept();
+        ctx.ret = Some(SyscallRet::NewFd(Fd(7)));
+        assert!(matches!(
+            s.step(&mut ctx),
+            Step::Syscall(SyscallReq::Accept {
+                fd: Fd(3),
+                block: false
+            })
+        ));
+        // Nothing else pending: the wave is the one connection in hand.
+        ctx.ret = Some(SyscallRet::Err(Errno::Eagain));
+        assert!(matches!(
+            s.step(&mut ctx),
+            Step::Syscall(SyscallReq::Lseek { fd: Fd(4), pos: 0 })
+        ));
+        ctx.ret = Some(SyscallRet::Val(0));
+        let submit = s.step(&mut ctx);
+        let Step::Syscall(SyscallReq::RingSubmit { ring: 9, sqes }) = submit else {
+            panic!("expected submit, got {submit:?}")
+        };
+        assert_eq!(sqes.len(), 1);
+        assert_eq!((sqes[0].req.src, sqes[0].req.dst), (Fd(4), Fd(7)));
+        ctx.ret = Some(SyscallRet::Val(1));
+        assert!(matches!(
+            s.step(&mut ctx),
+            Step::Syscall(SyscallReq::RingReap { ring: 9, min: 1 })
+        ));
+    }
+
+    #[test]
+    fn ring_server_exits_on_accept_failure() {
+        // EAGAIN with no connection in hand cannot come from the blocking
+        // first accept: it is a failure like any other errno.
+        for errno in [Errno::Eagain, Errno::Ebadf] {
+            let (mut s, mut ctx) = ring_server_at_first_accept();
+            ctx.ret = Some(SyscallRet::Err(errno));
+            assert!(matches!(s.step(&mut ctx), Step::Exit(2)), "{errno:?}");
+        }
+        // Mid-wave, only EAGAIN ends the drain.
+        let (mut s, mut ctx) = ring_server_at_first_accept();
+        ctx.ret = Some(SyscallRet::NewFd(Fd(7)));
+        s.step(&mut ctx); // → Accept { block: false }
+        ctx.ret = Some(SyscallRet::Err(Errno::Einval));
+        assert!(matches!(s.step(&mut ctx), Step::Exit(2)));
     }
 
     #[test]

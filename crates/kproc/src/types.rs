@@ -385,10 +385,14 @@ pub enum SyscallReq {
         backlog: u32,
     },
     /// Take the oldest pending connection off a listener, as a new
-    /// socket descriptor. Blocks until a connection arrives.
+    /// socket descriptor.
     Accept {
         /// Listening socket descriptor.
         fd: Fd,
+        /// `true` sleeps until a connection arrives; `false` polls and
+        /// returns `Err(Eagain)` when none is pending (the accept
+        /// counterpart of `RingReap { min: 0 }`).
+        block: bool,
     },
     /// Send a datagram to the connected peer.
     Send {

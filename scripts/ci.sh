@@ -45,10 +45,12 @@ FAULT_SEED="$FAULT_SEED" cargo test -q --test ring ring_runs_are_deterministic_u
 echo "== server scenario suite =="
 cargo test -q --test server
 
-echo "== server scenario replay, randomized seed =="
+echo "== server scenario replay and below-saturation ring latency, randomized seed =="
 SERVER_SEED=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
 echo "-- SERVER_SEED=$SERVER_SEED"
 SERVER_SEED="$SERVER_SEED" cargo test -q --test server server_scenario_replays_identically_under_seed ||
+    { echo "server suite FAILED with SERVER_SEED=$SERVER_SEED (export it to reproduce)"; exit 1; }
+SERVER_SEED="$SERVER_SEED" cargo test -q --test server ring_waves_do_not_wait_to_fill_below_saturation ||
     { echo "server suite FAILED with SERVER_SEED=$SERVER_SEED (export it to reproduce)"; exit 1; }
 
 echo "== table1 smoke run =="

@@ -1,14 +1,16 @@
 //! Connection-layer scenario battery: the splice server programs from
 //! `kproc::programs::server` driven end to end through the kernel —
 //! backlog overflow accounting, connection lifecycle reclaim, byte-exact
-//! service at depth 1 vs a depth-64 ring, tail-latency monotonicity in
-//! connection count, and seeded replay determinism (`SERVER_SEED` is
-//! randomized by `scripts/ci.sh`).
+//! service at depth 1 vs a depth-64 ring, ring latency below saturation,
+//! tail-latency monotonicity in connection count, and seeded replay
+//! determinism (`SERVER_SEED` is randomized by `scripts/ci.sh`).
 
 use std::rc::Rc;
 
 use knet::LinkModel;
-use kproc::programs::{open_loop_delays, scenario_stats, ServeMode, ServerClient, SpliceServer};
+use kproc::programs::{
+    open_loop_delays, scenario_stats, ServeMode, ServerClient, SharedScenario, SpliceServer,
+};
 use kproc::{ProcState, SockAddr};
 use ksim::{Dur, ObsConfig, ReqSpan, SloConfig};
 use splice::{Kernel, KernelBuilder};
@@ -155,9 +157,19 @@ fn connection_lifecycle_frees_port_and_buffers() {
     );
 }
 
-/// Runs `conns` clients against one server in `mode`; returns
-/// (completed, bytes_received, splices started).
-fn serve_fleet(conns: usize, mode: ServeMode, seed: u64) -> (u64, u64, u64) {
+/// The seed from `SERVER_SEED` when set (`scripts/ci.sh` randomizes
+/// it), else the fixed default.
+fn server_seed() -> u64 {
+    std::env::var("SERVER_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(SEED)
+}
+
+/// Runs `conns` open-loop clients, arriving uniformly over `window`,
+/// against one server in `mode`. The server must exit clean and every
+/// payload must be byte-exact.
+fn run_fleet(conns: usize, window: Dur, mode: ServeMode, seed: u64) -> (Kernel, SharedScenario) {
     let mut k = server_kernel(seed, 0);
     let stats = scenario_stats();
     let server = k.spawn(Box::new(SpliceServer::new(
@@ -169,8 +181,6 @@ fn serve_fleet(conns: usize, mode: ServeMode, seed: u64) -> (u64, u64, u64) {
         mode,
         Rc::clone(&stats),
     )));
-    // Constant offered rate (10k/s), as in the bench.
-    let window = Dur::from_ns(conns as u64 * 100_000);
     for delay in open_loop_delays(conns, window, seed) {
         k.spawn(Box::new(ServerClient::new(
             addr(),
@@ -184,10 +194,22 @@ fn serve_fleet(conns: usize, mode: ServeMode, seed: u64) -> (u64, u64, u64) {
     k.run_to_exit(horizon);
     assert!(
         matches!(k.procs().must(server).state, ProcState::Exited(0)),
-        "{mode:?}: server failed"
+        "{mode:?} seed {seed}: server failed"
     );
+    assert_eq!(
+        stats.borrow().mismatches,
+        0,
+        "{mode:?} seed {seed}: payload corruption"
+    );
+    (k, stats)
+}
+
+/// Runs `conns` clients at a constant offered rate of 10k/s, as in the
+/// bench; returns (completed, bytes_received, splices started).
+fn serve_fleet(conns: usize, mode: ServeMode, seed: u64) -> (u64, u64, u64) {
+    let window = Dur::from_ns(conns as u64 * 100_000);
+    let (k, stats) = run_fleet(conns, window, mode, seed);
     let s = stats.borrow();
-    assert_eq!(s.mismatches, 0, "{mode:?}: payload corruption");
     (s.completed, s.bytes_received, k.metrics().splice.started)
 }
 
@@ -212,32 +234,42 @@ fn depth1_splice_and_ring64_serve_byte_exact() {
 /// Runs a ring-served open-loop fleet and reports the p99 of the
 /// request→last-byte latency histogram.
 fn p99_at(conns: usize) -> u64 {
-    let mut k = server_kernel(SEED, 0);
-    let stats = scenario_stats();
-    k.spawn(Box::new(SpliceServer::new(
-        PORT,
-        "/d0/file",
-        FILE_BYTES,
-        conns,
-        conns as u32,
-        ServeMode::Ring { depth: 64 },
-        Rc::clone(&stats),
-    )));
     let window = Dur::from_ns(conns as u64 * 100_000);
-    for delay in open_loop_delays(conns, window, SEED) {
-        k.spawn(Box::new(ServerClient::new(
-            addr(),
-            FILE_BYTES,
-            SEED,
-            delay,
-            Rc::clone(&stats),
-        )));
-    }
-    let horizon = k.horizon(600);
-    k.run_to_exit(horizon);
+    let (_, stats) = run_fleet(conns, window, ServeMode::Ring { depth: 64 }, SEED);
     let s = stats.borrow();
     assert_eq!(s.completed, conns as u64);
     s.latency.p99().unwrap()
+}
+
+/// Below saturation a ring wave holds the connections already waiting
+/// instead of waiting for `depth` of them: at one arrival every 50 ms,
+/// far beyond one request's service time, a depth-64 ring serves as
+/// fast as one-at-a-time `splice(2)` and far faster than the 3.2 s it
+/// takes 64 arrivals to fill a wave. `scripts/ci.sh` randomizes
+/// `SERVER_SEED`.
+#[test]
+fn ring_waves_do_not_wait_to_fill_below_saturation() {
+    let seed = server_seed();
+    let conns = 128usize;
+    let gap = Dur::from_ms(50);
+    let window = Dur::from_ns(conns as u64 * gap.as_ns());
+    let p50 = |mode| {
+        let (_, stats) = run_fleet(conns, window, mode, seed);
+        let s = stats.borrow();
+        assert_eq!(s.completed, conns as u64, "{mode:?} seed {seed}: short");
+        s.latency.p50().unwrap()
+    };
+    let sync = p50(ServeMode::Splice);
+    let ring = p50(ServeMode::Ring { depth: 64 });
+    let wave_fill = 64 * gap.as_ns();
+    assert!(
+        ring <= 2 * sync,
+        "SERVER_SEED={seed}: ring p50 {ring}ns vs sync p50 {sync}ns"
+    );
+    assert!(
+        ring < wave_fill / 10,
+        "SERVER_SEED={seed}: ring p50 {ring}ns near the {wave_fill}ns wave-fill time"
+    );
 }
 
 /// Under a constant offered rate, adding connections never *improves*
@@ -258,10 +290,7 @@ fn p99_is_monotone_in_connection_count() {
 /// failure prints the seed to reproduce.
 #[test]
 fn server_scenario_replays_identically_under_seed() {
-    let seed: u64 = std::env::var("SERVER_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(SEED);
+    let seed = server_seed();
     let conns = 400usize;
     let run = || {
         let mut k = server_kernel(seed, 1 << 16);
@@ -319,10 +348,7 @@ fn server_scenario_replays_identically_under_seed() {
 /// the committed spans match span for span.
 #[test]
 fn flight_dump_and_committed_spans_replay_identically() {
-    let seed: u64 = std::env::var("SERVER_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(SEED);
+    let seed = server_seed();
     let conns = 256usize;
     let cfg = ObsConfig {
         slo: SloConfig {
