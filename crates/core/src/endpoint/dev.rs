@@ -28,9 +28,9 @@ impl Kernel {
     /// armed write-failure countdown on the device (injected fault)
     /// errors the delivery and aborts the splice with `EIO`.
     pub(crate) fn splice_dev_write(&mut self, desc: u64, lblk: u64, src: Block, off: usize) {
-        // Abort drain: a held buffer is released via `src_bufs`; owned
-        // bytes just drop.
-        if self.splice_drain_write(desc, lblk, None) {
+        // Abort drain: a held buffer is released with the block's
+        // record; owned bytes just drop.
+        if self.splice_drain_write(desc, lblk) {
             return;
         }
         let now = self.q.now();
@@ -48,20 +48,13 @@ impl Kernel {
             Block::Buf(_) => d.mapped_len(lblk),
         };
         if off == 0 {
-            self.trace
-                .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
-            self.note_write_issue_stage(desc, lblk);
+            self.splice_write_issue(desc, lblk);
             // Injected device write failure: the countdown is charged
             // once per block; a block that would overrun it fails.
             if let Some(limit) = self.cdevs[cdev].write_fail_after {
                 if (len as u64) > limit {
-                    let d = self.splices.get_mut(&desc).unwrap();
-                    d.pending_writes -= 1;
-                    d.issued_at.remove(&lblk);
-                    d.src_bufs.remove(&lblk);
-                    if let Block::Buf(buf) = src {
-                        self.release_buf(buf);
-                    }
+                    self.splices.get_mut(&desc).unwrap().pending_writes -= 1;
+                    self.end_flight(desc, lblk);
                     self.counts.io.errors += 1;
                     self.splice_abort(desc, kproc::Errno::Eio);
                     return;
@@ -90,14 +83,7 @@ impl Kernel {
             self.counts.copy.driver_bytes += accepted as u64;
         }
         match retry_at {
-            None => {
-                if let Block::Buf(buf) = src {
-                    let d = self.splices.get_mut(&desc).unwrap();
-                    d.src_bufs.remove(&lblk);
-                    self.release_buf(buf);
-                }
-                self.splice_block_completed(desc, lblk, len as u64);
-            }
+            None => self.splice_block_completed(desc, lblk, len as u64),
             Some(at) => {
                 let delay = at.saturating_since(now);
                 let ticks = self.dur_to_ticks(delay);

@@ -118,7 +118,7 @@ impl Kernel {
                 d.next_read += 1;
             }
             d.pending_reads += 1;
-            d.issued_at.insert(lblk, now);
+            d.flight(lblk).issued = Some(now);
         }
 
         let work = KWork::SpliceReadDone {
@@ -175,7 +175,7 @@ impl Kernel {
                     d.next_read -= 1;
                 }
                 d.pending_reads -= 1;
-                d.issued_at.remove(&lblk);
+                d.flight(lblk).issued = None;
                 let chan = match out {
                     BreadOutcome::Busy(buf) => WaitChan::Buf(buf),
                     _ => WaitChan::AnyBuf,
@@ -194,7 +194,7 @@ impl Kernel {
     /// §5.2.2: the block-sink write side — allocate a header sharing the
     /// read buffer's data area and start the asynchronous write.
     pub(crate) fn splice_write(&mut self, desc: u64, lblk: u64, src_buf: kbuf::BufId) {
-        if self.splice_drain_write(desc, lblk, Some(crate::endpoint::Block::Buf(src_buf))) {
+        if self.splice_drain_write(desc, lblk) {
             return;
         }
         let Some(d) = self.splices.get(&desc) else {
@@ -215,10 +215,7 @@ impl Kernel {
         {
             Ok(hdr) => {
                 self.counts.splice.shared_writes += 1;
-                let now = self.q.now();
-                self.trace
-                    .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
-                self.note_write_issue_stage(desc, lblk);
+                self.splice_write_issue(desc, lblk);
                 let tag = self.new_iodone(KWork::SpliceWriteDone { desc, lblk, hdr });
                 let mut fx = Vec::new();
                 self.cache.bawrite_call(hdr, tag, &mut fx);
@@ -242,26 +239,17 @@ impl Kernel {
         }
     }
 
-    /// §5.2.2–§5.2.3: the block-sink write-completion handler frees both
-    /// buffers and hands the block to the common flow-control tail. A
-    /// write that completed with `B_ERROR` keeps the source buffer and
-    /// routes into the retry/abort policy instead.
+    /// §5.2.2–§5.2.3: the block-sink write-completion handler frees the
+    /// shared header and hands the block to the common flow-control tail,
+    /// which frees the source buffer. A write that completed with
+    /// `B_ERROR` keeps the source buffer and routes into the retry/abort
+    /// policy instead.
     pub(crate) fn splice_write_done(&mut self, desc: u64, lblk: u64, hdr: kbuf::BufId) {
         let failed = self.cache.flags(hdr).contains(kbuf::BufFlags::ERROR);
         self.release_buf(hdr);
         if failed {
             self.splice_write_failed(desc, lblk);
             return;
-        }
-        let src_buf = self
-            .splices
-            .get_mut(&desc)
-            .and_then(|d| d.src_bufs.remove(&lblk));
-        if let Some(buf) = src_buf {
-            // "It retrieves a pointer to the source-side buffer … and
-            // frees it by calling brelse()." The source block stays
-            // cached.
-            self.release_buf(buf);
         }
         let bytes = self
             .splices
@@ -274,7 +262,7 @@ impl Kernel {
     /// Stream-sink write side: append one arrived chunk at its
     /// preassigned offset, in kernel context.
     pub(crate) fn splice_append(&mut self, desc: u64, lblk: u64, off: u64, data: Vec<u8>) {
-        if self.splice_drain_write(desc, lblk, None) {
+        if self.splice_drain_write(desc, lblk) {
             return;
         }
         let Some(d) = self.splices.get(&desc) else {
@@ -283,10 +271,7 @@ impl Kernel {
         let crate::endpoint::DstEndpoint::File { disk, ino } = d.dst else {
             panic!("splice_append with non-file sink")
         };
-        let now = self.q.now();
-        self.trace
-            .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
-        self.note_write_issue_stage(desc, lblk);
+        self.splice_write_issue(desc, lblk);
         match self.splice_append_file(disk, ino, off, &data) {
             Ok(()) => self.splice_block_completed(desc, lblk, data.len() as u64),
             // Cache contention: the offsets are preassigned and block

@@ -61,9 +61,9 @@ impl Kernel {
 
     /// Socket-sink write side: packetize one arrived block.
     pub(crate) fn splice_sock_write(&mut self, desc: u64, lblk: u64, src: Block) {
-        // Abort drain: a held buffer is released via `src_bufs`; owned
-        // bytes just drop.
-        if self.splice_drain_write(desc, lblk, None) {
+        // Abort drain: a held buffer is released with the block's
+        // record; owned bytes just drop.
+        if self.splice_drain_write(desc, lblk) {
             return;
         }
         let Some(d) = self.splices.get(&desc) else {
@@ -85,16 +85,14 @@ impl Kernel {
                 (bytes[boff..boff + len].to_vec(), Some(buf))
             }
         };
-        let now = self.q.now();
-        self.trace
-            .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
-        self.note_write_issue_stage(desc, lblk);
+        self.splice_write_issue(desc, lblk);
         // The payload is extracted, so the cache buffer can go back
         // before the wire is ready — holding it across a backpressure
         // backoff would starve the cache under high connection counts.
+        // The block's record stays in flight until the send completes.
         if let Some(buf) = buf {
             let d = self.splices.get_mut(&desc).unwrap();
-            d.src_bufs.remove(&lblk);
+            d.flight(lblk).buf = None;
             self.release_buf(buf);
         }
         self.sock_send_or_backoff(desc, lblk, sock, payload);
@@ -172,8 +170,7 @@ impl Kernel {
                 return;
             };
             // The splice may have died while the payload waited.
-            let dead =
-                self.splice_drain_write(desc, lblk, None) || !self.splices.contains_key(&desc);
+            let dead = self.splice_drain_write(desc, lblk) || !self.splices.contains_key(&desc);
             if dead {
                 self.parked_sends.get_mut(&host).unwrap().pop_front();
                 continue;

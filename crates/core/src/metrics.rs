@@ -129,7 +129,7 @@ pub struct SpliceMetrics {
     pub retries: u64,
     /// Splices aborted with a typed errno after retries were exhausted.
     pub aborted: u64,
-    /// Per-descriptor lifecycle spans (timestamps, gauges, samples).
+    /// Per-descriptor lifecycle spans (timestamps, counters, gauges).
     pub spans: SpliceSpans,
 }
 
@@ -298,8 +298,8 @@ pub(crate) struct Counts {
 }
 
 impl MetricsSnapshot {
-    /// Serializes the snapshot (including per-splice span summaries,
-    /// excluding raw flow samples) as a JSON object.
+    /// Serializes the snapshot (including per-splice span summaries) as
+    /// a JSON object.
     pub fn to_json(&self) -> Json {
         let c = &self.copy;
         let copy = Json::obj()
@@ -446,8 +446,6 @@ fn span_json(s: &SpliceSpan) -> Json {
         .with("backoffs", Json::Num(s.backoffs as f64))
         .with("max_pending_reads", Json::Num(s.max_pending_reads as f64))
         .with("max_pending_writes", Json::Num(s.max_pending_writes as f64))
-        .with("flow_samples", Json::Num(s.samples.len() as f64))
-        .with("samples_truncated", Json::Bool(s.samples_truncated))
 }
 
 fn hist_json(h: &HistSummary) -> Json {

@@ -31,10 +31,18 @@
 //!   socket buffer) when the disk side backs up.
 //!
 //! Because the accounting is shared, the kstat [`ksim::SpliceSpan`]
-//! lifecycle, gauge samples, and latency digests describe every splice,
-//! including the stream-sourced ones that historically bypassed them.
+//! lifecycle, high-water gauges, and latency digests describe every
+//! splice, including the stream-sourced ones that historically bypassed
+//! them.
+//!
+//! **One record per in-flight block.** Everything the descriptor knows
+//! about a block between its read issue and the end of its flight — the
+//! stage timestamps, the source buffer held for the write, the retry
+//! attempts — lives in one `InFlight` record, and every completion,
+//! drain, abort and error path ends the flight through
+//! `Kernel::end_flight`, which also releases the held buffer.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use kbuf::BufId;
 use khw::CopyKind;
@@ -125,20 +133,10 @@ pub(crate) struct SpliceDesc {
     pub blocks_done: usize,
     /// Bytes pulled from a stream source so far.
     pub stream_taken: u64,
-    /// Read-side buffers awaiting their write, by logical block.
-    pub src_bufs: HashMap<u64, BufId>,
-    /// Issue instants of in-flight blocks (latency accounting).
-    pub issued_at: HashMap<u64, ksim::SimTime>,
-    /// When each block's read side finished (stage accounting: the
-    /// read-done → write-issue gap).
-    pub read_done_at: HashMap<u64, ksim::SimTime>,
-    /// When each block's write was (last) issued to its sink backend
-    /// (stage accounting: write service time).
-    pub write_issued_at: HashMap<u64, ksim::SimTime>,
+    /// One record per in-flight block, in logical-block order.
+    pub in_flight: BTreeMap<u64, InFlight>,
     /// Append cursor for a byte-stream file sink.
     pub dst_off: u64,
-    /// Device-error retry attempts per logical block.
-    pub retries: HashMap<u64, u32>,
     /// Per-request retry budget (see [`MAX_SPLICE_RETRIES`]).
     pub retry_limit: u32,
     /// Set when the splice is aborting: no new work is issued and
@@ -147,7 +145,34 @@ pub(crate) struct SpliceDesc {
     pub done: bool,
 }
 
+/// Everything the engine tracks for one block between its read issue
+/// and the end of its flight: write completion, abort drain or a
+/// terminal error. [`Kernel::end_flight`] removes the record and
+/// releases the buffer it holds.
+#[derive(Default)]
+pub(crate) struct InFlight {
+    /// When the block's current read was issued (end-to-end and read
+    /// service accounting). Cleared while a failed or parked read waits
+    /// to be re-issued.
+    pub issued: Option<ksim::SimTime>,
+    /// When the read side finished; taken by the first write issue (the
+    /// read-done → write-issue stage).
+    pub read_done: Option<ksim::SimTime>,
+    /// When the block's write was (last) issued to its sink backend
+    /// (write service accounting).
+    pub write_issued: Option<ksim::SimTime>,
+    /// The source cache buffer held for the write (block sources only).
+    pub buf: Option<BufId>,
+    /// Device-error retry attempts; the read and write sides share them.
+    pub attempts: u32,
+}
+
 impl SpliceDesc {
+    /// The record of block `lblk`, created on first use.
+    pub(crate) fn flight(&mut self, lblk: u64) -> &mut InFlight {
+        self.in_flight.entry(lblk).or_default()
+    }
+
     /// Bytes of block `lblk` belonging to a mapped transfer.
     pub(crate) fn mapped_len(&self, lblk: u64) -> usize {
         match &self.plan {
@@ -296,12 +321,8 @@ impl Kernel {
             pending_writes: 0,
             blocks_done: 0,
             stream_taken: 0,
-            src_bufs: HashMap::new(),
-            issued_at: HashMap::new(),
-            read_done_at: HashMap::new(),
-            write_issued_at: HashMap::new(),
+            in_flight: BTreeMap::new(),
             dst_off,
-            retries: HashMap::new(),
             retry_limit,
             error: None,
             done: false,
@@ -520,7 +541,7 @@ impl Kernel {
                     let lblk = d.next_read as u64;
                     d.next_read += 1;
                     d.pending_reads += 1;
-                    d.issued_at.insert(lblk, now);
+                    d.flight(lblk).issued = Some(now);
                     self.counts.splice.reads_issued += 1;
                     self.trace
                         .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
@@ -580,6 +601,18 @@ impl Kernel {
         debug_assert!(sync.is_zero());
     }
 
+    /// Ends block `lblk`'s flight: removes its record and releases the
+    /// source buffer it still holds. Every path that completes, drains
+    /// or abandons a block ends here. Returns the record, buffer taken,
+    /// for its stage timestamps.
+    pub(crate) fn end_flight(&mut self, desc: u64, lblk: u64) -> Option<InFlight> {
+        let mut f = self.splices.get_mut(&desc)?.in_flight.remove(&lblk)?;
+        if let Some(buf) = f.buf.take() {
+            self.release_buf(buf);
+        }
+        Some(f)
+    }
+
     /// Applies one stream pull: take the next chunk from the source and
     /// hand it to the engine as an arrived block.
     fn splice_stream_pull(&mut self, desc: u64, lblk: u64) {
@@ -598,7 +631,7 @@ impl Kernel {
             // was reached while this pull was queued; release the slot.
             let d = self.splices.get_mut(&desc).unwrap();
             d.pending_reads = d.pending_reads.saturating_sub(1);
-            d.issued_at.remove(&lblk);
+            self.end_flight(desc, lblk);
             self.maybe_finish_abort(desc);
             return;
         }
@@ -612,7 +645,7 @@ impl Kernel {
             // re-arms via net_rx.
             let d = self.splices.get_mut(&desc).unwrap();
             d.pending_reads = d.pending_reads.saturating_sub(1);
-            d.issued_at.remove(&lblk);
+            self.end_flight(desc, lblk);
             self.maybe_finish_abort(desc);
             return;
         };
@@ -637,12 +670,7 @@ impl Kernel {
             let buf = *buf;
             if self.cache.flags(buf).contains(kbuf::BufFlags::ERROR) {
                 self.release_buf(buf);
-                if self.splices.contains_key(&desc) {
-                    let d = self.splices.get_mut(&desc).unwrap();
-                    d.pending_reads -= 1;
-                    d.issued_at.remove(&lblk);
-                    self.splice_read_failed(desc, lblk);
-                }
+                self.splice_read_failed(desc, lblk);
                 return;
             }
         }
@@ -656,7 +684,7 @@ impl Kernel {
         // without dispatching its write.
         if d.error.is_some() {
             d.pending_reads -= 1;
-            d.issued_at.remove(&lblk);
+            self.end_flight(desc, lblk);
             if let Block::Buf(buf) = block {
                 self.release_buf(buf);
             }
@@ -664,19 +692,20 @@ impl Kernel {
             return;
         }
         d.pending_reads -= 1;
+        d.pending_writes += 1;
         // Stage accounting: the read side of this block is done. The
-        // issue instant stays in `issued_at` for the end-to-end digest.
-        if let Some(&at) = d.issued_at.get(&lblk) {
+        // issue instant stays on the record for the end-to-end digest.
+        let f = d.flight(lblk);
+        if let Some(at) = f.issued {
             self.kstat.stages.read_service.record(now.since(at).as_ns());
+        }
+        f.read_done = Some(now);
+        if let Block::Buf(buf) = &block {
+            f.buf = Some(*buf);
         }
         self.trace
             .emit(now, || TraceEvent::SpliceReadDone { desc, lblk });
         let d = self.splices.get_mut(&desc).unwrap();
-        d.read_done_at.insert(lblk, now);
-        d.pending_writes += 1;
-        if let Block::Buf(buf) = &block {
-            d.src_bufs.insert(lblk, *buf);
-        }
         let len = match &block {
             Block::Bytes(b) => b.len(),
             Block::Buf(_) => d.mapped_len(lblk),
@@ -743,40 +772,45 @@ impl Kernel {
         self.span_note(desc, |s, now, pr, pw| s.note_write_issued(now, pr, pw));
     }
 
-    /// Stage accounting for the moment a block's write is handed to its
-    /// sink backend: closes the read-done → write-issue gap (first issue
-    /// only) and stamps the write-service start. Every sink backend —
-    /// shared-header file writes, stream appends, device pacing, socket
-    /// sends — calls this right before issuing, so retries re-stamp and
-    /// the service digest measures the attempt that completed.
-    pub(crate) fn note_write_issue_stage(&mut self, desc: u64, lblk: u64) {
+    /// A sink backend is issuing block `lblk`'s write: traces
+    /// `SpliceWriteIssue`, closes the read-done → write-issue gap (first
+    /// issue only) and stamps the write-service start. Every sink
+    /// backend — shared-header file writes, stream appends, device
+    /// pacing, socket sends — calls this right before issuing, so
+    /// retries re-stamp and the service digest measures the attempt that
+    /// completed.
+    pub(crate) fn splice_write_issue(&mut self, desc: u64, lblk: u64) {
         let now = self.q.now();
+        self.trace
+            .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
         let Some(d) = self.splices.get_mut(&desc) else {
             return;
         };
-        if let Some(done_at) = d.read_done_at.remove(&lblk) {
+        let f = d.flight(lblk);
+        f.write_issued = Some(now);
+        if let Some(done_at) = f.read_done.take() {
             self.kstat
                 .stages
                 .read_to_write
                 .record(now.since(done_at).as_ns());
         }
-        let d = self.splices.get_mut(&desc).unwrap();
-        d.write_issued_at.insert(lblk, now);
     }
 
     /// Common completion/flow-control tail of the write side, for every
-    /// sink (§5.2.2–§5.2.3).
+    /// sink (§5.2.2–§5.2.3). Ends the block's flight, which frees the
+    /// source buffer it still holds: "it retrieves a pointer to the
+    /// source-side buffer … and frees it by calling brelse()". The
+    /// source block stays cached.
     pub(crate) fn splice_block_completed(&mut self, desc: u64, lblk: u64, bytes: u64) {
         let flow = self.cfg.flow;
-        let Some(d) = self.splices.get_mut(&desc) else {
+        if !self.splices.contains_key(&desc) {
             return;
-        };
+        }
+        let flight = self.end_flight(desc, lblk).unwrap_or_default();
+        let d = self.splices.get_mut(&desc).unwrap();
         d.pending_writes -= 1;
         d.blocks_done += 1;
         d.bytes_done += bytes;
-        let issued = d.issued_at.remove(&lblk);
-        let write_issued = d.write_issued_at.remove(&lblk);
-        d.read_done_at.remove(&lblk);
         // A write that lands while the splice is aborting still moved
         // its bytes (they count toward the partial-transfer total) but
         // never refills or finishes; the abort tail completes instead.
@@ -798,7 +832,7 @@ impl Kernel {
             self.trace.emit(now, || TraceEvent::SpliceRefill { desc });
         }
         if let Some(span) = self.kstat.spans.get_mut(desc) {
-            span.note_block_done(now, bytes, pr, pw);
+            span.note_block_done(bytes, pr, pw);
             if finished {
                 span.note_drained(now);
             }
@@ -806,13 +840,13 @@ impl Kernel {
                 span.note_refill();
             }
         }
-        if let Some(at) = write_issued {
+        if let Some(at) = flight.write_issued {
             self.kstat
                 .stages
                 .write_service
                 .record(now.since(at).as_ns());
         }
-        if let Some(at) = issued {
+        if let Some(at) = flight.issued {
             self.kstat.stages.end_to_end.record(now.since(at).as_ns());
         }
         if finished {
@@ -830,25 +864,28 @@ impl Kernel {
     // ----- failure handling: retry, backoff, abort ------------------------------
 
     /// A mapped-source block read completed with `B_ERROR`. The caller
-    /// already dropped the pending-read slot and released the buffer;
-    /// this counts the attempt and either arms the backoff retry callout
-    /// or aborts the splice with `EIO`.
+    /// already released the buffer; this drops the pending-read slot,
+    /// counts the attempt on the block's record and either arms the
+    /// backoff retry callout or aborts the splice with `EIO`. A block
+    /// awaiting its retry keeps its record without an issue instant.
     fn splice_read_failed(&mut self, desc: u64, lblk: u64) {
         let now = self.q.now();
         let Some(d) = self.splices.get_mut(&desc) else {
             return;
         };
+        d.pending_reads -= 1;
         if d.error.is_some() {
+            self.end_flight(desc, lblk);
             self.maybe_finish_abort(desc);
             return;
         }
         let limit = d.retry_limit;
-        let attempt = {
-            let a = d.retries.entry(lblk).or_insert(0);
-            *a += 1;
-            *a
-        };
+        let f = d.flight(lblk);
+        f.issued = None;
+        f.attempts += 1;
+        let attempt = f.attempts;
         if attempt > limit {
+            self.end_flight(desc, lblk);
             self.splice_abort(desc, Errno::Eio);
             return;
         }
@@ -895,53 +932,39 @@ impl Kernel {
     }
 
     /// A block-sink shared-header write completed with `B_ERROR`. The
-    /// source buffer is still held in `src_bufs` and block rewrites are
-    /// idempotent (a torn write is overwritten wholesale on the next
+    /// block's record still holds the source buffer and block rewrites
+    /// are idempotent (a torn write is overwritten wholesale on the next
     /// attempt), so a retry re-runs just the write side of this block.
     pub(crate) fn splice_write_failed(&mut self, desc: u64, lblk: u64) {
         let now = self.q.now();
         let Some(d) = self.splices.get_mut(&desc) else {
             return;
         };
-        let src_buf = d.src_bufs.get(&lblk).copied();
         if d.error.is_some() {
             // Abort drain: drop the slot and the held source buffer.
             d.pending_writes -= 1;
-            d.issued_at.remove(&lblk);
-            d.write_issued_at.remove(&lblk);
-            d.src_bufs.remove(&lblk);
-            if let Some(buf) = src_buf {
-                self.release_buf(buf);
-            }
+            self.end_flight(desc, lblk);
             self.maybe_finish_abort(desc);
             return;
         }
         let limit = d.retry_limit;
-        let attempt = {
-            let a = d.retries.entry(lblk).or_insert(0);
-            *a += 1;
-            *a
-        };
+        let f = d.flight(lblk);
+        f.attempts += 1;
+        let (attempt, src_buf) = (f.attempts, f.buf);
         if attempt > limit {
             // This block's write has terminally failed: nothing further
             // will arrive for it, so surrender its slot before aborting
             // (the abort completes once the *other* in-flight blocks
             // drain).
             d.pending_writes -= 1;
-            d.issued_at.remove(&lblk);
-            d.write_issued_at.remove(&lblk);
-            d.src_bufs.remove(&lblk);
-            if let Some(buf) = src_buf {
-                self.release_buf(buf);
-            }
+            self.end_flight(desc, lblk);
             self.splice_abort(desc, Errno::Eio);
             return;
         }
         let Some(src_buf) = src_buf else {
             // The source buffer vanished (teardown race): drop the slot.
             d.pending_writes -= 1;
-            d.issued_at.remove(&lblk);
-            d.write_issued_at.remove(&lblk);
+            self.end_flight(desc, lblk);
             return;
         };
         self.counts.splice.retries += 1;
@@ -970,15 +993,11 @@ impl Kernel {
     }
 
     /// Abort-drain check for write-side handlers: if the splice is
-    /// aborting, discard the block, surrender its pending-write slot and
-    /// any held source buffer, and try to finish the abort. Returns true
-    /// when the work was drained (the handler must return immediately).
-    pub(crate) fn splice_drain_write(
-        &mut self,
-        desc: u64,
-        lblk: u64,
-        block: Option<Block>,
-    ) -> bool {
+    /// aborting, discard the block, surrender its pending-write slot, end
+    /// its flight (releasing any held source buffer), and try to finish
+    /// the abort. Returns true when the work was drained (the handler
+    /// must return immediately).
+    pub(crate) fn splice_drain_write(&mut self, desc: u64, lblk: u64) -> bool {
         let aborting = self
             .splices
             .get(&desc)
@@ -987,17 +1006,8 @@ impl Kernel {
         if !aborting {
             return false;
         }
-        let d = self.splices.get_mut(&desc).unwrap();
-        d.pending_writes -= 1;
-        d.issued_at.remove(&lblk);
-        d.read_done_at.remove(&lblk);
-        d.write_issued_at.remove(&lblk);
-        let held = d.src_bufs.remove(&lblk);
-        if let Some(buf) = held {
-            self.release_buf(buf);
-        } else if let Some(Block::Buf(buf)) = block {
-            self.release_buf(buf);
-        }
+        self.splices.get_mut(&desc).unwrap().pending_writes -= 1;
+        self.end_flight(desc, lblk);
         self.maybe_finish_abort(desc);
         true
     }
@@ -1023,8 +1033,12 @@ impl Kernel {
         self.maybe_finish_abort(desc);
     }
 
-    /// Completes an aborting splice once nothing is in flight, releasing
-    /// every still-held source buffer so the cache leaks nothing.
+    /// Completes an aborting splice once nothing is in flight. The
+    /// records still left belong to reads that hold no slot (parked on a
+    /// busy buffer or awaiting a retry that will never run). The sweep
+    /// drops them in block order; none holds a buffer, because every
+    /// slot-dropping path ends its block's flight, but a release build
+    /// still releases one rather than leak it.
     pub(crate) fn maybe_finish_abort(&mut self, desc: u64) {
         let Some(d) = self.splices.get_mut(&desc) else {
             return;
@@ -1032,12 +1046,14 @@ impl Kernel {
         if d.error.is_none() || d.done || d.pending_reads != 0 || d.pending_writes != 0 {
             return;
         }
-        let bufs: Vec<BufId> = d.src_bufs.drain().map(|(_, b)| b).collect();
-        d.issued_at.clear();
-        d.read_done_at.clear();
-        d.write_issued_at.clear();
-        for b in bufs {
-            self.release_buf(b);
+        for (lblk, f) in std::mem::take(&mut d.in_flight) {
+            debug_assert!(
+                f.buf.is_none(),
+                "splice {desc}: block {lblk} still holds its buffer at abort"
+            );
+            if let Some(buf) = f.buf {
+                self.release_buf(buf);
+            }
         }
         self.complete_splice(desc);
     }
@@ -1085,6 +1101,13 @@ impl Kernel {
         if d.done {
             return;
         }
+        debug_assert!(
+            d.in_flight.is_empty() && d.pending_reads == 0 && d.pending_writes == 0,
+            "splice {desc} completing with work in flight: {} records, {} reads, {} writes",
+            d.in_flight.len(),
+            d.pending_reads,
+            d.pending_writes
+        );
         d.done = true;
         let dst = d.dst;
         let src = d.src;

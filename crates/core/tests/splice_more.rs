@@ -567,3 +567,79 @@ fn aborted_waiter_does_not_strand_the_queue_behind_it() {
     k.cache().check_invariants();
     assert!(k.fsck_all().is_empty());
 }
+
+/// Copies the one-block `/d0/src` into `/d1/dst0` as a single ring entry
+/// with retry budget `retries`, after `arm` has set the fault plans. The
+/// cache must get every buffer back whatever the outcome.
+fn one_block_copy(retries: u32, arm: impl FnOnce(&mut Kernel)) -> (Kernel, SpliceCqe) {
+    const BLOCK: u64 = 8192;
+    let mut k = quiet_machine(0);
+    k.setup_file("/d0/src", BLOCK, 23);
+    k.cold_cache();
+    let free_baseline = k.cache().free_count();
+    arm(&mut k);
+    let cqes = Rc::new(RefCell::new(Vec::new()));
+    let pid = k.spawn(Box::new(HotBlockBatch {
+        plan: vec![(0, BLOCK, retries)],
+        st: 0,
+        i: 0,
+        src: Vec::new(),
+        dst: Vec::new(),
+        ring: 0,
+        cqes: Rc::clone(&cqes),
+    }));
+    let horizon = k.horizon(60);
+    k.run_to_exit(horizon);
+    assert!(matches!(k.procs().must(pid).state, ProcState::Exited(0)));
+    assert_eq!(k.cache().free_count(), free_baseline);
+    assert_eq!(k.pending_callouts(), 0);
+    k.cache().check_invariants();
+    let cqe = cqes.borrow()[0];
+    (k, cqe)
+}
+
+/// First sector of logical block 0 of `path` on disk `disk`.
+fn first_sector(k: &Kernel, disk: usize, path: &str) -> u64 {
+    let ino = k.disks()[disk].fs.lookup(path).expect("file exists");
+    let pblk = k.disks()[disk].fs.bmap(ino, 0).expect("mapped block");
+    pblk * (8192 / SECTOR_SIZE as u64)
+}
+
+/// Read and write failures of one block draw on one retry budget: the
+/// block's in-flight record, attempt count included, survives the
+/// failed read and its retry. With a budget of 1, one read error and
+/// then one write error on the same block exhaust it and abort with
+/// `EIO`; separate budgets would have retried the write and completed.
+#[test]
+fn read_and_write_failures_of_one_block_share_its_retry_budget() {
+    // A clean run maps the destination block; allocation is
+    // deterministic, so every later run writes the same sector.
+    let (k, clean) = one_block_copy(1, |_| {});
+    assert_eq!(clean.outcome.error, None);
+    let dst_sector = first_sector(&k, 1, "/dst0");
+    let arm = |k: &mut Kernel| {
+        let src_sector = first_sector(k, 0, "/src");
+        k.set_fault_plan(
+            0,
+            FaultPlan::new(1).transient_eio_at(FaultOp::Read, src_sector, 1),
+        );
+        k.set_fault_plan(
+            1,
+            FaultPlan::new(2).transient_eio_at(FaultOp::Write, dst_sector, 1),
+        );
+    };
+
+    let (k, cqe) = one_block_copy(1, arm);
+    assert_eq!(cqe.outcome.error, Some(Errno::Eio), "{cqe:?}");
+    assert_eq!(cqe.outcome.bytes_moved, 0);
+    let m = k.metrics();
+    assert_eq!((m.splice.retries, m.splice.aborted), (1, 1));
+
+    // Control: a budget of 2 absorbs both failures of the block.
+    let (k, cqe) = one_block_copy(2, arm);
+    assert_eq!(cqe.outcome.error, None, "{cqe:?}");
+    assert_eq!(cqe.outcome.bytes_moved, 8192);
+    assert_eq!(k.dump_file("/d1/dst0"), k.dump_file("/d0/src"));
+    let m = k.metrics();
+    assert_eq!((m.splice.retries, m.splice.aborted), (2, 0));
+}

@@ -13,10 +13,10 @@
 //!
 //! The closure check is the whole point: the trace-derived total is
 //! compared against the `end_to_end` stage histogram, which the engine
-//! records through an independent bookkeeping path (`issued_at` map vs
-//! trace ring). If the two disagree beyond tolerance, either the trace
-//! ring wrapped (partial spans — reported) or an accounting bug crept
-//! in.
+//! records through an independent bookkeeping path (the issue instant on
+//! each block's in-flight record vs the trace ring). If the two disagree
+//! beyond tolerance, either the trace ring wrapped (partial spans —
+//! reported) or an accounting bug crept in.
 
 use ksim::{BlockSpan, Json, StageHists};
 

@@ -12,8 +12,8 @@
 //!
 //! * [`SpliceSpan`] — one per splice descriptor: lifecycle timestamps
 //!   (created → first read issued → first write issued → drained →
-//!   completion delivered), cumulative counters, watermark gauges, and
-//!   a bounded ring of [`FlowSample`]s for offline analysis.
+//!   completion delivered), cumulative counters, and the high-water
+//!   gauges of pending reads and writes.
 //! * [`SpliceSpans`] — the per-kernel collection, indexable by splice
 //!   descriptor id (`kstat.spans[desc]`).
 //! * [`Kstat`] — the kernel-owned holder combining the spans with
@@ -26,36 +26,6 @@ use std::ops::Index;
 use crate::hist::Hist;
 use crate::json::Json;
 use crate::time::SimTime;
-
-/// Upper bound on retained [`FlowSample`]s per span. Beyond this the
-/// span keeps updating its scalar gauges but stops appending samples
-/// and sets [`SpliceSpan::samples_truncated`].
-pub const MAX_FLOW_SAMPLES: usize = 4096;
-
-/// One flow-control observation, taken whenever the splice engine
-/// issues or retires work on a descriptor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlowSample {
-    /// Simulated time of the observation.
-    pub at: SimTime,
-    /// Reads issued so far (cache misses that went to the device).
-    pub reads_issued: u64,
-    /// Reads satisfied from the buffer cache.
-    pub read_hits: u64,
-    /// Writes issued so far (shared-header `bwrite`s, device pushes).
-    pub writes_issued: u64,
-    /// Reads outstanding at the device at this instant.
-    pub pending_reads: u32,
-    /// Writes outstanding at this instant.
-    pub pending_writes: u32,
-}
-
-impl FlowSample {
-    /// Reads started by any means (device reads plus cache hits).
-    pub fn reads_started(&self) -> u64 {
-        self.reads_issued + self.read_hits
-    }
-}
 
 /// Lifecycle and flow-control record for one splice descriptor.
 ///
@@ -72,7 +42,10 @@ pub struct SpliceSpan {
     pub created: Option<SimTime>,
     /// First read issued (or satisfied from cache) on the source.
     pub first_read: Option<SimTime>,
-    /// First write issued on the sink.
+    /// First write scheduled on the sink: noted when a block arrives
+    /// and its write is queued for the sink backend, not when the sink
+    /// handler later issues it (the trace's `SpliceWriteIssue` marks
+    /// that moment).
     pub first_write: Option<SimTime>,
     /// All blocks/bytes moved; the write side has drained.
     pub drained: Option<SimTime>,
@@ -84,7 +57,9 @@ pub struct SpliceSpan {
     pub reads_issued: u64,
     /// Reads satisfied from the buffer cache.
     pub read_hits: u64,
-    /// Writes issued.
+    /// Writes scheduled: one per arrived block, counted when its write is
+    /// queued for the sink backend (retries of the same block do not
+    /// count again).
     pub writes_issued: u64,
     /// Blocks (or pump chunks) fully completed.
     pub blocks_done: u64,
@@ -100,11 +75,6 @@ pub struct SpliceSpan {
     pub max_pending_reads: u32,
     /// High-water mark of writes outstanding.
     pub max_pending_writes: u32,
-
-    /// Bounded time series of flow observations.
-    pub samples: Vec<FlowSample>,
-    /// True if the sample ring hit [`MAX_FLOW_SAMPLES`].
-    pub samples_truncated: bool,
 }
 
 impl SpliceSpan {
@@ -120,34 +90,28 @@ impl SpliceSpan {
     pub fn note_read_issued(&mut self, now: SimTime, pending_reads: u32, pending_writes: u32) {
         self.first_read.get_or_insert(now);
         self.reads_issued += 1;
-        self.observe(now, pending_reads, pending_writes);
+        self.observe(pending_reads, pending_writes);
     }
 
     /// Records a read satisfied from the buffer cache.
     pub fn note_read_hit(&mut self, now: SimTime, pending_reads: u32, pending_writes: u32) {
         self.first_read.get_or_insert(now);
         self.read_hits += 1;
-        self.observe(now, pending_reads, pending_writes);
+        self.observe(pending_reads, pending_writes);
     }
 
-    /// Records a write issue.
+    /// Records a block's write being scheduled for the sink.
     pub fn note_write_issued(&mut self, now: SimTime, pending_reads: u32, pending_writes: u32) {
         self.first_write.get_or_insert(now);
         self.writes_issued += 1;
-        self.observe(now, pending_reads, pending_writes);
+        self.observe(pending_reads, pending_writes);
     }
 
     /// Records a fully completed block (or pump chunk) of `bytes`.
-    pub fn note_block_done(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        pending_reads: u32,
-        pending_writes: u32,
-    ) {
+    pub fn note_block_done(&mut self, bytes: u64, pending_reads: u32, pending_writes: u32) {
         self.blocks_done += 1;
         self.bytes_moved += bytes;
-        self.observe(now, pending_reads, pending_writes);
+        self.observe(pending_reads, pending_writes);
     }
 
     /// Records a watermark-triggered read-side refill burst.
@@ -170,21 +134,9 @@ impl SpliceSpan {
         self.completed.get_or_insert(now);
     }
 
-    fn observe(&mut self, now: SimTime, pending_reads: u32, pending_writes: u32) {
+    fn observe(&mut self, pending_reads: u32, pending_writes: u32) {
         self.max_pending_reads = self.max_pending_reads.max(pending_reads);
         self.max_pending_writes = self.max_pending_writes.max(pending_writes);
-        if self.samples.len() < MAX_FLOW_SAMPLES {
-            self.samples.push(FlowSample {
-                at: now,
-                reads_issued: self.reads_issued,
-                read_hits: self.read_hits,
-                writes_issued: self.writes_issued,
-                pending_reads,
-                pending_writes,
-            });
-        } else {
-            self.samples_truncated = true;
-        }
     }
 }
 
@@ -416,7 +368,7 @@ mod tests {
         let s = spans.get_mut(1).unwrap();
         s.note_read_issued(t(11), 1, 0);
         s.note_write_issued(t(12), 0, 1);
-        s.note_block_done(t(13), 4096, 0, 0);
+        s.note_block_done(4096, 0, 0);
         s.note_drained(t(13));
         s.note_completed(t(14));
 
@@ -440,19 +392,6 @@ mod tests {
         assert_eq!(s.first_read, Some(t(2)));
         assert_eq!(s.reads_issued, 2);
         assert_eq!(s.max_pending_reads, 2);
-    }
-
-    #[test]
-    fn samples_cap_and_flag_truncation() {
-        let mut spans = SpliceSpans::new();
-        spans.start(3, t(0));
-        let s = spans.get_mut(3).unwrap();
-        for i in 0..(MAX_FLOW_SAMPLES as u64 + 10) {
-            s.note_read_issued(t(i), 1, 0);
-        }
-        assert_eq!(s.samples.len(), MAX_FLOW_SAMPLES);
-        assert!(s.samples_truncated);
-        assert_eq!(s.reads_issued, MAX_FLOW_SAMPLES as u64 + 10);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use callout::{BTreeCallout, Callout, CalloutId};
 pub use event::{EventId, EventQueue};
 pub use hist::{Exemplar, Hist};
 pub use json::Json;
-pub use kstat::{FlowSample, HistSummary, Kstat, SpliceSpan, SpliceSpans, StageHists};
+pub use kstat::{HistSummary, Kstat, SpliceSpan, SpliceSpans, StageHists};
 pub use obs::{
     CloseOutcome, FlightDump, ObsConfig, ObsCounters, Observability, ReqSpan, SloAlertInfo,
     SloConfig,

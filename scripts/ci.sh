@@ -190,10 +190,13 @@ for row in rows:
     assert scp["copy"]["copyout_bytes"] == 0
     assert len(scp["splice"]["spans"]) >= 1
     for span in scp["splice"]["spans"]:
-        # Span schema the dashboards key on: the sampled flow-control
-        # series plus the truncation marker.
-        assert isinstance(span["samples_truncated"], bool), span
-        assert isinstance(span["flow_samples"], (int, float)), span
+        # The default watermarks hold on every SCP span: at most one
+        # refill batch (5) of reads in flight, at most the write
+        # watermark plus one batch (5 + 5) of writes, and every
+        # scheduled write completed.
+        assert span["max_pending_reads"] <= 5, span
+        assert span["max_pending_writes"] <= 10, span
+        assert span["blocks_done"] == span["writes_issued"], span
     assert row["cp"]["metrics"]["copy"]["copyin_bytes"] > 0
 print("BENCH_table2.json: ok (%d rows)" % len(rows))
 

@@ -61,7 +61,6 @@ fn splice_span_lifecycle_is_monotonic() {
 
     assert_eq!(span.bytes_moved, 2 * MB);
     assert_eq!(span.blocks_done, span.writes_issued);
-    assert!(span.samples_truncated || !span.samples.is_empty());
 }
 
 #[test]
@@ -77,24 +76,6 @@ fn flow_gauges_respect_the_configured_watermarks() {
         span.max_pending_writes <= flow.lo_writes + flow.batch,
         "writes over watermark"
     );
-
-    let mut last_at = None;
-    for s in &span.samples {
-        // Sampled time series is in event order.
-        if let Some(prev) = last_at {
-            assert!(s.at >= prev, "samples out of order");
-        }
-        last_at = Some(s.at);
-        // A write is only issued once its block's read has finished, so
-        // cumulatively reads always lead writes.
-        assert!(
-            s.reads_started() >= s.writes_issued,
-            "writes ahead of reads at {:?}",
-            s.at
-        );
-        assert!(s.pending_reads <= flow.batch);
-        assert!(s.pending_writes <= flow.lo_writes + flow.batch);
-    }
 }
 
 #[test]
