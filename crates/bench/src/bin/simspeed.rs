@@ -1,7 +1,7 @@
 //! Simulator-speed table: pins host events-per-second the way Tables
 //! 1/2 pin simulated results.
 //!
-//! Three rows land in `BENCH_simspeed.json`:
+//! Two rows land in `BENCH_simspeed.json`:
 //!
 //! * `callout_churn` — schedule/cancel/expire mix against 100k pending
 //!   callouts, measured on the hierarchical timing wheel *and* on the
@@ -9,13 +9,13 @@
 //!   speedup ratio. CI gates on `speedup_vs_btree >= 10`.
 //! * `event_churn` — schedule/cancel/pop mix against 100k live events
 //!   in the slab-backed [`ksim::EventQueue`].
-//! * `scp_ram_e2e` — wall-clock blocks/sec of repeated cold-cache
-//!   `scp` copies across the RAM-disk machine, the end-to-end number
-//!   the fast path exists to move.
+//!
+//! End-to-end host speed is perfbench's per-workload `host_us_per_op`,
+//! which keeps fixture setup out of the data-path number.
 //!
 //! `meta.baseline` records the same loops measured on the pre-refactor
-//! tree (BTreeMap callout, non-slab event queue, unpooled buffers) so
-//! the committed artifact documents the before/after trajectory. Unlike
+//! tree (BTreeMap callout, non-slab event queue) so the committed
+//! artifact documents the before/after trajectory. Unlike
 //! the `BENCH_table*` artifacts these numbers are wall-clock and host-
 //! dependent, so the file is a pinned snapshot, not byte-reproducible.
 
@@ -49,39 +49,21 @@ fn main() {
     let event = simspeed::event_churn(PENDING, 300_000);
     println!("event_churn: {:.0} ops/sec", event.ops_per_sec());
 
-    // End-to-end: 2 warmup + 40 measured cold-cache 8 MB scp copies so
-    // the window is long enough for a stable blocks/sec figure.
-    let e2e = simspeed::scp_ram_e2e(2, 40, 8 << 20);
-    println!(
-        "scp_ram_e2e: {:.0} blocks/sec ({} blocks in {:.3}s)",
-        e2e.blocks_per_sec(),
-        e2e.blocks,
-        e2e.secs
-    );
-
     let rows = Json::Arr(vec![
         rate_row("callout_churn", PENDING, &wheel)
             .with("reference_ops_per_sec", Json::Num(btree.ops_per_sec()))
             .with("speedup_vs_btree", Json::Num(speedup)),
         rate_row("event_churn", PENDING, &event),
-        Json::obj()
-            .with("bench", Json::Str("scp_ram_e2e".into()))
-            .with("runs", Json::Num(40.0))
-            .with("file_bytes", Json::Num((8 << 20) as f64))
-            .with("blocks", Json::Num(e2e.blocks as f64))
-            .with("secs", Json::Num(e2e.secs))
-            .with("blocks_per_sec", Json::Num(e2e.blocks_per_sec())),
     ]);
 
     // The same loops measured on the pre-refactor tree (BTreeMap
-    // callout, non-slab event queue, unpooled BufData) on the host that
-    // produced the committed artifact — the "before" column of the
-    // speedup trajectory.
+    // callout, non-slab event queue) on the host that produced the
+    // committed artifact — the "before" column of the speedup
+    // trajectory.
     let baseline = Json::obj()
         .with("commit", Json::Str("33ac9d6".into()))
         .with("callout_churn_ops_per_sec", Json::Num(87_053.0))
-        .with("event_churn_ops_per_sec", Json::Num(8_158_304.0))
-        .with("scp_ram_blocks_per_sec", Json::Num(52_342.0));
+        .with("event_churn_ops_per_sec", Json::Num(8_158_304.0));
 
     let doc = bench_doc("simspeed").with("rows", rows).with(
         "meta",

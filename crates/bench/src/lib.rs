@@ -1,5 +1,5 @@
-//! Experiment library: the measurement procedures behind every table,
-//! sweep, and ablation binary.
+//! Experiment library: the measurement procedures behind the paper's
+//! tables and the `ablate` sweeps around them.
 //!
 //! The procedures follow §6 of the paper:
 //!
@@ -29,7 +29,7 @@ pub use json_out::{
 use khw::DiskProfile;
 use kproc::programs::{Cp, CpuBound, Scp, ScpMode};
 use kproc::{Pid, ProcState, Program};
-use ksim::{Dur, Json};
+use ksim::{Dur, Json, StageHists};
 use splice::baselines::{HandleCopy, MmapCopy};
 use splice::{Kernel, KernelBuilder, KernelConfig, MetricsSnapshot};
 
@@ -185,15 +185,24 @@ pub struct ThroughputResult {
     pub elapsed_s: f64,
     /// Kernel metrics at the end of the run (data verified, fsck clean).
     pub snapshot: MetricsSnapshot,
+    /// The run's per-stage splice pipeline histograms (empty for
+    /// methods that never splice).
+    pub stages: StageHists,
 }
 
 impl ThroughputResult {
-    /// JSON form: the throughput numbers plus the full snapshot.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("kb_per_s", Json::Num(self.kb_per_s))
+    /// Appends the throughput numbers alone to `row`.
+    pub fn summarize(&self, row: Json) -> Json {
+        row.with("kb_per_s", Json::Num(self.kb_per_s))
             .with("elapsed_s", Json::Num(self.elapsed_s))
+    }
+
+    /// JSON form: the throughput numbers plus the full snapshot and
+    /// the per-stage digests.
+    pub fn to_json(&self) -> Json {
+        self.summarize(Json::obj())
             .with("metrics", self.snapshot.to_json())
+            .with("stages", self.stages.to_json())
     }
 }
 
@@ -228,31 +237,12 @@ pub fn throughput(exp: &Experiment, method: Method) -> ThroughputResult {
         "fsck after {}: {errors:?}",
         method.label()
     );
-    let snapshot = k.metrics();
-    if std::env::var("BENCH_STATS").is_ok() {
-        println!(
-            "--- metrics after {} on {} ---",
-            method.label(),
-            exp.disk.label()
-        );
-        println!("{}", snapshot.to_json().render_pretty());
-        for d in k.disks() {
-            if !d.kind.is_ram() {
-                println!(
-                    "  disk {}: requests={} busy={:?}",
-                    d.name,
-                    d.kind.requests(),
-                    d.kind.busy_time()
-                );
-            }
-        }
-        println!("  cache: {:?}", k.cache().stats());
-    }
     let elapsed = t1.since(t0).as_secs_f64();
     ThroughputResult {
         kb_per_s: exp.file_bytes as f64 / 1024.0 / elapsed,
         elapsed_s: elapsed,
-        snapshot,
+        snapshot: k.metrics(),
+        stages: k.kstat().stages.clone(),
     }
 }
 
@@ -270,12 +260,16 @@ pub struct AvailabilityResult {
 }
 
 impl AvailabilityResult {
-    /// JSON form: the availability numbers plus the full snapshot.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("slowdown", Json::Num(self.slowdown))
+    /// Appends the availability numbers alone to `row`.
+    pub fn summarize(&self, row: Json) -> Json {
+        row.with("slowdown", Json::Num(self.slowdown))
             .with("speed_fraction", Json::Num(self.speed_fraction))
             .with("elapsed_s", Json::Num(self.elapsed_s))
+    }
+
+    /// JSON form: the availability numbers plus the full snapshot.
+    pub fn to_json(&self) -> Json {
+        self.summarize(Json::obj())
             .with("metrics", self.snapshot.to_json())
     }
 }
@@ -311,34 +305,12 @@ pub fn availability(exp: &Experiment, method: Method, idle_elapsed: f64) -> Avai
     // Enough passes to outlast the test program in any environment.
     let copier = exp.copier(method, 10_000);
     let (_, elapsed) = run_test_program(&mut k, Some(copier));
-    let snapshot = k.metrics();
-    if std::env::var("BENCH_STATS").is_ok() {
-        println!(
-            "--- availability diagnostics: {} on {} ---",
-            method.label(),
-            exp.disk.label()
-        );
-        for p in k.procs().iter() {
-            println!(
-                "  {:?} {} state={:?} user={} sys={} vcsw={} icsw={} syscalls={}",
-                p.pid,
-                p.program.name(),
-                p.state,
-                p.acct.user_time,
-                p.acct.sys_time,
-                p.acct.vcsw,
-                p.acct.icsw,
-                p.acct.syscalls
-            );
-        }
-        println!("{}", snapshot.to_json().render_pretty());
-    }
     let slowdown = elapsed / idle_elapsed;
     AvailabilityResult {
         slowdown,
         speed_fraction: 1.0 / slowdown,
         elapsed_s: elapsed,
-        snapshot,
+        snapshot: k.metrics(),
     }
 }
 

@@ -2,10 +2,8 @@
 //!
 //! These measure *host* events-per-second of the simulator itself — the
 //! quantity the timing-wheel callout, the slab event queue, and the
-//! pooled buffer arena exist to improve. The same loops back both the
-//! `sim_events_per_sec` criterion group and the `simspeed` binary that
-//! pins the numbers into `BENCH_simspeed.json`, so the artifact and the
-//! benches can never drift apart.
+//! pooled buffer arena exist to improve. The `simspeed` binary pins
+//! the numbers into `BENCH_simspeed.json`.
 //!
 //! The churn loops keep a large pending population (the regime where the
 //! old `BTreeMap` callout degraded) and then drive a steady
@@ -128,61 +126,6 @@ pub fn event_churn(pending: usize, ops: u64) -> Rate {
     }
     Rate {
         ops: 3 * ops,
-        secs: start.elapsed().as_secs_f64(),
-    }
-}
-
-/// One end-to-end measurement: simulated blocks copied per wall-clock
-/// second.
-#[derive(Clone, Copy, Debug)]
-pub struct E2eRate {
-    /// Simulated 8 KB blocks copied across all measured runs.
-    pub blocks: u64,
-    /// Wall-clock seconds for the measured runs.
-    pub secs: f64,
-}
-
-impl E2eRate {
-    /// Simulated blocks copied per wall-clock second.
-    pub fn blocks_per_sec(&self) -> f64 {
-        self.blocks as f64 / self.secs
-    }
-}
-
-/// One cold-cache `scp` of a `bytes`-sized file across the RAM-disk
-/// machine. Returns the number of 8 KB blocks copied.
-///
-/// # Panics
-///
-/// Panics if the copy fails to exit cleanly.
-pub fn scp_ram_run(bytes: u64) -> u64 {
-    let mut k = splice::KernelBuilder::paper_machine_ram().build();
-    k.setup_file("/d0/src", bytes, 5);
-    k.cold_cache();
-    let pid = k.spawn(Box::new(kproc::programs::Scp::new("/d0/src", "/d1/dst")));
-    let horizon = k.horizon(300);
-    k.run_to_exit(horizon);
-    assert!(
-        matches!(k.procs().must(pid).state, kproc::ProcState::Exited(0)),
-        "scp_ram speed run failed to exit cleanly"
-    );
-    bytes / 8192
-}
-
-/// End-to-end simulator speed: `warmup` unmeasured runs (to populate
-/// the buffer arena and fault in code), then `runs` measured cold-cache
-/// `scp` copies of `bytes` each.
-pub fn scp_ram_e2e(warmup: u32, runs: u32, bytes: u64) -> E2eRate {
-    for _ in 0..warmup {
-        std::hint::black_box(scp_ram_run(bytes));
-    }
-    let start = Instant::now();
-    let mut blocks = 0u64;
-    for _ in 0..runs {
-        blocks += scp_ram_run(bytes);
-    }
-    E2eRate {
-        blocks,
         secs: start.elapsed().as_secs_f64(),
     }
 }

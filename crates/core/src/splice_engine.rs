@@ -142,7 +142,6 @@ pub(crate) struct SpliceDesc {
     /// Set when the splice is aborting: no new work is issued and
     /// in-flight blocks drain without counting.
     pub error: Option<Errno>,
-    pub done: bool,
 }
 
 /// Everything the engine tracks for one block between its read issue
@@ -325,7 +324,6 @@ impl Kernel {
             dst_off,
             retry_limit,
             error: None,
-            done: false,
         };
         self.splices.insert(id, desc);
         if let SrcEndpoint::Sock { sock } = src {
@@ -493,7 +491,7 @@ impl Kernel {
             let Some(d) = self.splices.get(&id) else {
                 return cpu;
             };
-            if d.done || d.error.is_some() || d.pending_reads >= batch {
+            if d.error.is_some() || d.pending_reads >= batch {
                 return cpu;
             }
             match &d.plan {
@@ -626,7 +624,7 @@ impl Kernel {
             ReadPlan::Stream { chunk } => (*chunk as u64).min(remaining) as usize,
             ReadPlan::Mapped { .. } => panic!("stream pull on a mapped splice"),
         };
-        if d.done || d.error.is_some() || want == 0 {
+        if d.error.is_some() || want == 0 {
             // The source closed, the splice is aborting, or the target
             // was reached while this pull was queued; release the slot.
             let d = self.splices.get_mut(&desc).unwrap();
@@ -915,9 +913,6 @@ impl Kernel {
         let Some(d) = self.splices.get(&desc) else {
             return;
         };
-        if d.done {
-            return;
-        }
         if d.error.is_some() {
             self.maybe_finish_abort(desc);
             return;
@@ -1020,7 +1015,7 @@ impl Kernel {
         let Some(d) = self.splices.get_mut(&desc) else {
             return;
         };
-        if d.done || d.error.is_some() {
+        if d.error.is_some() {
             return;
         }
         d.error = Some(e);
@@ -1043,7 +1038,7 @@ impl Kernel {
         let Some(d) = self.splices.get_mut(&desc) else {
             return;
         };
-        if d.error.is_none() || d.done || d.pending_reads != 0 || d.pending_writes != 0 {
+        if d.error.is_none() || d.pending_reads != 0 || d.pending_writes != 0 {
             return;
         }
         for (lblk, f) in std::mem::take(&mut d.in_flight) {
@@ -1095,12 +1090,9 @@ impl Kernel {
     /// posts `SIGIO` / wakes reapers per the entry's [`RingRoute`].
     fn complete_splice(&mut self, desc: u64) {
         let now = self.q.now();
-        let Some(d) = self.splices.get_mut(&desc) else {
+        let Some(d) = self.splices.get(&desc) else {
             return;
         };
-        if d.done {
-            return;
-        }
         debug_assert!(
             d.in_flight.is_empty() && d.pending_reads == 0 && d.pending_writes == 0,
             "splice {desc} completing with work in flight: {} records, {} reads, {} writes",
@@ -1108,7 +1100,6 @@ impl Kernel {
             d.pending_reads,
             d.pending_writes
         );
-        d.done = true;
         let dst = d.dst;
         let src = d.src;
         let outcome = SpliceOutcome {
