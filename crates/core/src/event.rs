@@ -221,9 +221,7 @@ pub enum Event {
         /// The datagram.
         dgram: Datagram,
     },
-    /// A context switch finished; start running the process.
-    Dispatch {
-        /// Process taking the CPU.
-        pid: Pid,
-    },
+    /// A context switch finished; the scheduler picks the process that
+    /// takes the CPU now.
+    Dispatch,
 }

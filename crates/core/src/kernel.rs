@@ -403,44 +403,47 @@ impl Kernel {
     /// Spawns a program as a new runnable process.
     pub fn spawn(&mut self, program: Box<dyn Program>) -> Pid {
         let pid = self.procs.spawn(program, self.q.now());
-        // The table creates processes in `Runnable`; queue it directly.
-        self.sched.enqueue(pid);
-        self.try_dispatch();
+        // The table creates processes in `Runnable`.
+        self.enter_runq(pid);
         pid
     }
 
     pub(crate) fn make_runnable(&mut self, pid: Pid) {
-        let p = self.procs.must_mut(pid);
-        if matches!(p.state, ProcState::Exited(_)) {
+        if !matches!(self.procs.must(pid).state, ProcState::Sleeping(_)) {
             return;
         }
-        if matches!(p.state, ProcState::Runnable | ProcState::Running) {
-            return;
-        }
-        let woken_cpu = p.recent_cpu;
         self.procs.set_state(pid, ProcState::Runnable);
         let now = self.q.now();
         self.trace
             .emit(now, || TraceEvent::SchedWakeup { pid: pid.0 });
-        self.sched.enqueue(pid);
-        // A process waking from a sleep returns at elevated priority, the
-        // classic UNIX discipline — but only while its decayed CPU usage
-        // gives it a better priority than the incumbent (4.3BSD p_cpu).
-        // Kernel mode (syscall chunks) is not preemptible; those
-        // reschedule at kernel exit.
+        self.enter_runq(pid);
+    }
+
+    /// The one path onto the run queue for a process that becomes
+    /// runnable (spawn, wakeup, timed wake). A process arriving with a
+    /// clearly better priority than the incumbent
+    /// ([`ProcTable::outranks`]) preempts it, the classic UNIX discipline
+    /// (4.3BSD `p_cpu`). Kernel mode (syscall chunks) is not preemptible;
+    /// those reschedule at kernel exit.
+    fn enter_runq(&mut self, pid: Pid) {
+        self.sched.enqueue(pid, &self.procs);
         if let Some(cur) = self.sched.current() {
-            let kind = cur.kind;
-            let incumbent_cpu = self.procs.must(cur.pid).recent_cpu;
-            // Hysteresis: preempt only from a clearly better priority
-            // band (half the incumbent's decayed usage), the effect of
-            // BSD's quantised priority levels.
-            if woken_cpu.as_ns() * 2 < incumbent_cpu.as_ns() {
-                match kind {
+            if self.procs.outranks(pid, cur.pid) {
+                match cur.kind {
                     RunKind::Compute { .. } => self.preempt_current(),
                     RunKind::SyscallCpu => self.resched = true,
                 }
             }
         }
+        self.try_dispatch();
+    }
+
+    /// Takes the CPU from a process (quantum expiry, a reschedule at
+    /// kernel exit, or a preemption) and requeues it behind the waiters.
+    fn yield_cpu(&mut self, pid: Pid) {
+        self.procs.must_mut(pid).acct.icsw += 1;
+        self.procs.set_state(pid, ProcState::Runnable);
+        self.sched.enqueue(pid, &self.procs);
         self.try_dispatch();
     }
 
@@ -459,15 +462,13 @@ impl Kernel {
         // not run.
         p.acct.user_time = p.acct.user_time.saturating_sub(left_in_chunk);
         p.recent_cpu = p.recent_cpu.saturating_sub(left_in_chunk);
-        p.acct.icsw += 1;
         if !total.is_zero() {
             p.pending_compute = Some(total);
         }
-        self.procs.set_state(cur.pid, ProcState::Runnable);
-        self.sched.enqueue(cur.pid);
         self.counts.sched.preemptions += 1;
         self.trace
             .emit(now, || TraceEvent::SchedPreempt { pid: cur.pid.0 });
+        self.yield_cpu(cur.pid);
     }
 
     pub(crate) fn wakeup(&mut self, chan: Chan) {
@@ -751,19 +752,20 @@ impl Kernel {
 
     // ----- scheduler integration ----------------------------------------------
 
+    /// Starts a context switch if the CPU is free and someone is
+    /// waiting. Which process gets the CPU is decided when the switch
+    /// completes ([`Event::Dispatch`]), so a wakeup inside the switch
+    /// window is weighed too.
     pub(crate) fn try_dispatch(&mut self) {
-        if self.dispatch_pending || self.sched.current().is_some() {
+        if self.dispatch_pending || self.sched.current().is_some() || self.sched.queued() == 0 {
             return;
         }
-        let Some(pid) = self.sched.take_next() else {
-            return;
-        };
         self.dispatch_pending = true;
         let now = self.q.now();
         let cost = self.cfg.machine.ctx_switch;
         match self.cpu.admit(now, cost, WorkClass::Intr) {
             Admit::Run(w) => {
-                self.q.schedule(w.end, Event::Dispatch { pid });
+                self.q.schedule(w.end, Event::Dispatch);
             }
             Admit::Deferred => unreachable!("Intr work is never deferred"),
         }
@@ -795,10 +797,7 @@ impl Kernel {
         if self.resched {
             self.resched = false;
             if self.sched.queued() > 0 {
-                self.procs.must_mut(pid).acct.icsw += 1;
-                self.procs.set_state(pid, ProcState::Runnable);
-                self.sched.enqueue(pid);
-                self.try_dispatch();
+                self.yield_cpu(pid);
                 return;
             }
         }
@@ -806,10 +805,7 @@ impl Kernel {
         // Quantum bookkeeping: refresh if nobody is waiting, else preempt.
         if quantum_left.is_zero() {
             if self.sched.queued() > 0 {
-                self.procs.must_mut(pid).acct.icsw += 1;
-                self.procs.set_state(pid, ProcState::Runnable);
-                self.sched.enqueue(pid);
-                self.try_dispatch();
+                self.yield_cpu(pid);
                 return;
             }
             quantum_left = self.sched.quantum();
@@ -934,12 +930,8 @@ impl Kernel {
             RunKind::Compute { remaining } if !remaining.is_zero() => {
                 // Quantum slice ended mid-compute.
                 if self.sched.queued() > 0 {
-                    let p = self.procs.must_mut(pid);
-                    p.acct.icsw += 1;
-                    p.pending_compute = Some(remaining);
-                    self.procs.set_state(pid, ProcState::Runnable);
-                    self.sched.enqueue(pid);
-                    self.try_dispatch();
+                    self.procs.must_mut(pid).pending_compute = Some(remaining);
+                    self.yield_cpu(pid);
                 } else {
                     // Nobody waiting: keep computing on a fresh quantum.
                     let q = self.sched.quantum();
@@ -1010,6 +1002,7 @@ impl Kernel {
         // second so recent hogs lose their wakeup-preemption edge.
         if self.tick.is_multiple_of((self.cfg.machine.hz / 4).max(1)) {
             self.procs.decay_recent_cpu();
+            self.sched.rekey(&self.procs);
         }
         let now = self.q.now();
         // Hardclock cost.
@@ -1175,8 +1168,7 @@ impl Kernel {
         }
         if matches!(self.procs.must(pid).state, ProcState::Sleeping(_)) {
             self.procs.set_state(pid, ProcState::Runnable);
-            self.sched.enqueue(pid);
-            self.try_dispatch();
+            self.enter_runq(pid);
         }
     }
 
@@ -1244,40 +1236,29 @@ impl Kernel {
                     KWork::NetRx { dst, dgram },
                 );
             }
-            Event::Dispatch { pid } => {
+            Event::Dispatch => {
                 self.dispatch_pending = false;
                 self.resched = false;
-                let now = self.q.now();
-                self.trace
-                    .emit(now, || TraceEvent::SchedDispatch { pid: pid.0 });
                 if self.sched.current().is_some() {
                     // The CPU was re-occupied during the switch window: a
                     // wakeup fired inside a system call's synchronous
-                    // execution and raced this dispatch. The process keeps
-                    // its turn; the occupying chunk's completion path
+                    // execution and raced this dispatch. The waiters stay
+                    // queued; the occupying chunk's completion path
                     // re-dispatches.
                     self.counts.sched.dispatch_races += 1;
-                    if self
-                        .procs
-                        .get(pid)
-                        .is_some_and(|p| p.state == ProcState::Runnable)
-                    {
-                        self.sched.enqueue_front(pid);
-                    }
                     return;
                 }
-                // The process may have exited or been made un-runnable in
-                // the switch window (it cannot, today, but be safe).
-                if self
-                    .procs
-                    .get(pid)
-                    .is_some_and(|p| p.state == ProcState::Runnable)
-                {
-                    self.procs.set_state(pid, ProcState::Running);
-                    self.run_process(pid, self.sched.quantum());
-                } else {
-                    self.try_dispatch();
-                }
+                // Only `take_next` removes from the queue, and only here,
+                // so the switch that `try_dispatch` started has a taker.
+                let pid = self
+                    .sched
+                    .take_next(&self.procs)
+                    .expect("context switch with an empty run queue");
+                let now = self.q.now();
+                self.trace
+                    .emit(now, || TraceEvent::SchedDispatch { pid: pid.0 });
+                self.procs.set_state(pid, ProcState::Running);
+                self.run_process(pid, self.sched.quantum());
             }
         }
     }

@@ -6,8 +6,8 @@
 //! This crate assembles the substrates (`ksim`, `khw`, `kbuf`, `kfs`,
 //! `kproc`, `knet`, `kdev`) into a running uniprocessor kernel
 //! ([`Kernel`]): a deterministic event loop with a hardclock, a softclock
-//! draining the callout list, device interrupts, a round-robin scheduler,
-//! and a UNIX-ish system-call layer. On top of that substrate it
+//! draining the callout list, device interrupts, a priority-ordered
+//! scheduler, and a UNIX-ish system-call layer. On top of that substrate it
 //! implements the paper's `splice(2)` (module [`splice_engine`]):
 //!
 //! * splice descriptors snapshotting source/destination block maps (§5.2),

@@ -1,11 +1,17 @@
 //! Scheduler and CPU-engine behaviour at the kernel level: fairness,
-//! wakeup preemption, priority decay, and the softwork budget.
+//! wakeup preemption, priority decay, the softwork budget, and the
+//! priority-ordered run queue.
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
+
+use kdev::AudioDac;
 use khw::DiskProfile;
 use kproc::programs::{Cp, CpuBound, Scp};
-use kproc::Pid;
-use ksim::Dur;
-use splice::{Kernel, KernelBuilder};
+use kproc::{Fd, OpenFlags, Pid, ProcState, Program, Sig, Step, SyscallReq, UserCtx};
+use ksim::{Dur, SimTime, TraceEvent, TraceRecord};
+use splice::{Kernel, KernelBuilder, KernelConfig};
 
 fn elapsed_of(k: &Kernel, pid: Pid) -> f64 {
     let p = k.procs().must(pid);
@@ -187,4 +193,218 @@ fn update_daemon_flushes_delayed_writes() {
     // The partial write is now on the medium.
     let got = k.dump_file("/d/f");
     assert_eq!(&got[..100], &[0xEE; 100]);
+}
+
+// ----- the priority-ordered run queue --------------------------------------
+
+/// One system call built from the descriptor the script opened last.
+type Call = Box<dyn Fn(Option<Fd>) -> SyscallReq>;
+
+/// Issues a fixed list of system calls, noting the simulated time of
+/// every step, then exits.
+struct Script {
+    calls: VecDeque<Call>,
+    fd: Option<Fd>,
+    ran_at: Rc<RefCell<Vec<SimTime>>>,
+}
+
+impl Script {
+    fn new(calls: Vec<Call>) -> (Script, Rc<RefCell<Vec<SimTime>>>) {
+        let ran_at = Rc::new(RefCell::new(Vec::new()));
+        let script = Script {
+            calls: calls.into(),
+            fd: None,
+            ran_at: Rc::clone(&ran_at),
+        };
+        (script, ran_at)
+    }
+}
+
+impl Program for Script {
+    fn step(&mut self, ctx: &mut UserCtx) -> Step {
+        if let Some(fd) = ctx.ret.take().and_then(|r| r.as_fd()) {
+            self.fd = Some(fd);
+        }
+        self.ran_at.borrow_mut().push(ctx.now);
+        match self.calls.pop_front() {
+            Some(call) => Step::Syscall(call(self.fd)),
+            None => Step::Exit(0),
+        }
+    }
+}
+
+fn open_audio() -> Call {
+    Box::new(|_| SyscallReq::Open {
+        path: "/dev/audio".into(),
+        flags: OpenFlags {
+            read: false,
+            write: true,
+            create: false,
+            trunc: false,
+        },
+    })
+}
+
+fn write_audio(bytes: usize) -> Call {
+    Box::new(move |fd| SyscallReq::Write {
+        fd: fd.expect("audio opened"),
+        data: vec![0x5a; bytes],
+    })
+}
+
+/// Sleep until SIGALRM arrives `after` from now, then disarm the timer.
+fn alarm_sleep(after: Dur) -> Vec<Call> {
+    vec![
+        Box::new(|_| SyscallReq::Sigaction {
+            sig: Sig::Alrm,
+            catch: true,
+        }),
+        Box::new(move |_| SyscallReq::SetItimer { interval: after }),
+        Box::new(|_| SyscallReq::Pause),
+        Box::new(|_| SyscallReq::SetItimer {
+            interval: Dur::ZERO,
+        }),
+    ]
+}
+
+fn pid_of(ev: &TraceEvent) -> Option<u32> {
+    match *ev {
+        TraceEvent::SchedWakeup { pid }
+        | TraceEvent::SchedDispatch { pid }
+        | TraceEvent::SchedPreempt { pid }
+        | TraceEvent::SchedRun { pid, .. } => Some(pid),
+        _ => None,
+    }
+}
+
+/// The scheduler records of a traced run, in order.
+fn sched_records(k: &Kernel) -> Vec<TraceRecord> {
+    k.trace()
+        .records()
+        .filter(|r| pid_of(&r.ev).is_some())
+        .copied()
+        .collect()
+}
+
+#[test]
+fn a_process_spawned_beside_a_hog_runs_within_one_context_switch() {
+    let mut k = KernelBuilder::new().build();
+    let hog = k.spawn(Box::new(CpuBound::new(2_000, Dur::from_ms(1))));
+    // 90 ms is mid-quantum: the hog's 40 ms quanta end near 40, 80 and
+    // 120 ms.
+    k.run_until(SimTime::ZERO + Dur::from_ms(90), |_| false);
+    assert_eq!(k.procs().must(hog).state, ProcState::Running);
+    let spawned = k.now();
+    let (probe, ran_at) = Script::new(Vec::new());
+    let probe = k.spawn(Box::new(probe));
+    let horizon = k.horizon(5);
+    k.run_until_exit_of(probe, horizon);
+    let waited = ran_at.borrow()[0].since(spawned);
+    // One 120 us context switch, not the rest of the hog's quantum.
+    assert!(
+        waited < Dur::from_ms(1),
+        "new process waited {waited} for the CPU"
+    );
+}
+
+#[test]
+fn a_process_woken_during_a_syscall_chunk_runs_before_the_queued_hog() {
+    let mut k = KernelBuilder::new()
+        .audio_dac("/dev/audio", AudioDac::new(1_000_000, 4 << 20))
+        .trace(100_000)
+        .build();
+    let tick = KernelConfig::default().machine.tick();
+    // The writer wakes at ~100 ms, preempts the hog and spends ~150 ms
+    // of kernel time copying 1 MB in; the sleeper wakes two ticks into
+    // that copy.
+    let mut writer = alarm_sleep(Dur::from_ms(100));
+    writer.insert(0, open_audio());
+    writer.push(write_audio(1 << 20));
+    let (writer, _) = Script::new(writer);
+    let writer = k.spawn(Box::new(writer));
+    let (sleeper, _) = Script::new(alarm_sleep(Dur::from_ms(100) + tick * 2));
+    let sleeper = k.spawn(Box::new(sleeper));
+    let hog = k.spawn(Box::new(CpuBound::new(2_000, Dur::from_ms(1))));
+    let horizon = k.horizon(10);
+    k.run_until_exit_of(sleeper, horizon);
+
+    let recs = sched_records(&k);
+    let woke = recs
+        .iter()
+        .position(|r| r.ev == TraceEvent::SchedWakeup { pid: sleeper.0 })
+        .expect("sleeper woke");
+    // Preconditions: the hog was preempted and queued, and the writer's
+    // copy chunk was on the CPU when the sleeper woke.
+    assert!(recs[..woke]
+        .iter()
+        .any(|r| r.ev == TraceEvent::SchedPreempt { pid: hog.0 }));
+    let chunk = recs[..woke]
+        .iter()
+        .rev()
+        .find(|r| matches!(r.ev, TraceEvent::SchedRun { .. }))
+        .unwrap();
+    let TraceEvent::SchedRun { pid, ns } = chunk.ev else {
+        unreachable!()
+    };
+    assert_eq!(pid, writer.0, "the writer's copy was running");
+    assert!(
+        chunk.at + Dur::from_ns(ns) > recs[woke].at,
+        "mid-chunk wakeup"
+    );
+    // The sleeper is the next process dispatched; the hog does not run
+    // first.
+    let next = recs[woke..]
+        .iter()
+        .find(|r| matches!(r.ev, TraceEvent::SchedDispatch { .. }))
+        .expect("a dispatch follows");
+    assert_eq!(
+        next.ev,
+        TraceEvent::SchedDispatch { pid: sleeper.0 },
+        "the queued hog ran before the woken sleeper"
+    );
+}
+
+#[test]
+fn a_wakeup_in_the_context_switch_window_is_weighed_at_dispatch() {
+    // A DAC whose 4 KB buffer drains at 8 MB/s: writing one byte more
+    // than the buffer holds sleeps ~125 ns for space. That timed wake
+    // lands at the end of the write's syscall chunk, i.e. inside the
+    // context switch the sleep starts, with the hog queued.
+    let mut k = KernelBuilder::new()
+        .audio_dac("/dev/audio", AudioDac::new(8_000_000, 4096))
+        .trace(100_000)
+        .build();
+    let hog = k.spawn(Box::new(CpuBound::new(2_000, Dur::from_ms(1))));
+    k.run_until(SimTime::ZERO + Dur::from_ms(90), |_| false);
+    let (writer, ran_at) = Script::new(vec![open_audio(), write_audio(4097)]);
+    let writer = k.spawn(Box::new(writer));
+    let horizon = k.horizon(5);
+    k.run_until_exit_of(writer, horizon);
+
+    // The steps that issued the open and the write, then the exit.
+    let steps = ran_at.borrow();
+    let recs = sched_records(&k);
+    let write_chunk = recs
+        .iter()
+        .position(|r| {
+            r.at >= steps[1] && matches!(r.ev, TraceEvent::SchedRun { pid, .. } if pid == writer.0)
+        })
+        .expect("the write ran");
+    // The switch that the sleep started goes to the writer, with no
+    // preemption in between: the wakeup was weighed at dispatch.
+    let next = recs[write_chunk + 1..]
+        .iter()
+        .find(|r| !matches!(r.ev, TraceEvent::SchedRun { .. }))
+        .expect("a dispatch follows");
+    assert_eq!(
+        next.ev,
+        TraceEvent::SchedDispatch { pid: writer.0 },
+        "the switch went to the hog (pid {}) picked before the wakeup",
+        hog.0
+    );
+    let write_returned = steps[2].since(steps[1]);
+    assert!(
+        write_returned < Dur::from_ms(5),
+        "the write took {write_returned} to return"
+    );
 }

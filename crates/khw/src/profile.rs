@@ -194,7 +194,7 @@ pub struct MachineProfile {
     /// that a splice leaves most of the CPU to user processes while still
     /// saturating the data path on an idle machine.
     pub softwork_budget_per_tick: Dur,
-    /// Scheduling quantum for round-robin user scheduling.
+    /// Scheduling quantum for user processes.
     pub quantum: Dur,
     /// CPU cost of delivering a signal to a process.
     pub signal_delivery: Dur,

@@ -13,7 +13,8 @@
 //!   work past the budget runs only when no user process wants the CPU —
 //!   the discipline that keeps charge-free asynchronous kernel work from
 //!   starving paying processes.
-//! * [`sched`] — round-robin scheduling with a quantum and explicit
+//! * [`sched`] — a priority-ordered run queue (FIFO unless a process
+//!   with far less recent CPU is waiting) with a quantum and explicit
 //!   context-switch cost.
 //! * [`process`] — the process table: program, state, signals, interval
 //!   timer, accounting.

@@ -223,6 +223,19 @@ impl ProcTable {
         }
     }
 
+    /// True if `a` has a clearly better scheduling priority than `b`:
+    /// less than half of `b`'s decayed CPU usage. The hysteresis stands in
+    /// for BSD's quantised priority bands, so near-equals keep FIFO
+    /// order. The one priority comparison, used both for wakeup
+    /// preemption and for picking the next process to run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either pid is unknown.
+    pub fn outranks(&self, a: Pid, b: Pid) -> bool {
+        self.must(a).recent_cpu.as_ns() * 2 < self.must(b).recent_cpu.as_ns()
+    }
+
     /// Every process sleeping on `chan`, in pid order (the order the
     /// original table scan produced, so wakeup ordering is unchanged).
     pub fn sleepers(&self, chan: Chan) -> Vec<Pid> {

@@ -1,4 +1,4 @@
-//! Round-robin scheduler state.
+//! Priority-ordered scheduler state.
 //!
 //! The scheduler holds the run queue and the record of what is on the CPU
 //! right now. The kernel event loop (in the `splice` crate) drives the
@@ -9,6 +9,18 @@
 //! * every run chunk carries a generation so stale completion events can
 //!   be recognised after a preemption or penalty reschedule.
 //!
+//! The run queue is FIFO with a priority override, the 4.3BSD discipline
+//! in which a process woken from sleep runs ahead of a CPU hog. Each
+//! queued process is keyed by its decayed CPU usage
+//! ([`Process::recent_cpu`](crate::Process::recent_cpu)) as of when it
+//! was queued; [`Scheduler::take_next`] returns the FIFO head unless the
+//! queued process with the least usage outranks it
+//! ([`ProcTable::outranks`]). A queued process does not run, so its key
+//! changes only at the quarter-second decay, when
+//! [`Scheduler::rekey`] refreshes the index. Both orders are ordered
+//! maps, so enqueue and take are O(log n) however many of the tens of
+//! thousands of connection-scale clients are waiting.
+//!
 //! Kernel work that preempts the running process does not generate
 //! explicit preemption events; instead its duration accumulates in
 //! [`CurrentRun::penalty`], and the chunk-completion event re-arms itself
@@ -16,10 +28,11 @@
 //! steal cycles from whoever is running", which is exactly the effect the
 //! paper's CPU-availability experiment measures.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use ksim::{Dur, SimTime};
 
+use crate::process::ProcTable;
 use crate::types::Pid;
 
 /// Why the current process is on the CPU.
@@ -80,11 +93,15 @@ impl CurrentRun {
 
 /// Run queue + current-run bookkeeping.
 pub struct Scheduler {
-    runq: VecDeque<Pid>,
-    /// Mirror of `runq` membership, so the never-queued-twice invariant
-    /// is O(1) to check however long the queue grows (tens of thousands
-    /// of runnable clients in the connection-scale scenarios).
-    queued_set: HashSet<Pid>,
+    /// FIFO order: arrival sequence number → process.
+    fifo: BTreeMap<u64, Pid>,
+    /// Priority index: (recent CPU in ns, arrival sequence), least
+    /// first; ties fall back to arrival order.
+    by_cpu: BTreeSet<(u64, u64)>,
+    /// Each queued process's `(recent CPU ns, sequence)` key: the
+    /// never-queued-twice check and the handle for removal.
+    keys: HashMap<Pid, (u64, u64)>,
+    next_seq: u64,
     current: Option<CurrentRun>,
     quantum: Dur,
     next_gen: u64,
@@ -94,8 +111,10 @@ impl Scheduler {
     /// Creates a scheduler with the given time quantum.
     pub fn new(quantum: Dur) -> Scheduler {
         Scheduler {
-            runq: VecDeque::new(),
-            queued_set: HashSet::new(),
+            fifo: BTreeMap::new(),
+            by_cpu: BTreeSet::new(),
+            keys: HashMap::new(),
+            next_seq: 0,
             current: None,
             quantum,
             next_gen: 0,
@@ -107,53 +126,64 @@ impl Scheduler {
         self.quantum
     }
 
-    /// Adds a process to the tail of the run queue.
+    /// Adds a process to the tail of the run queue, keyed by its recent
+    /// CPU in `procs`.
     ///
     /// # Panics
     ///
-    /// Panics if the process is already queued or current.
-    pub fn enqueue(&mut self, pid: Pid) {
-        assert!(
-            self.queued_set.insert(pid),
-            "{pid:?} already on the run queue"
-        );
+    /// Panics if the process is already queued or current, or unknown to
+    /// `procs`.
+    pub fn enqueue(&mut self, pid: Pid, procs: &ProcTable) {
         assert!(
             self.current.map(|c| c.pid) != Some(pid),
             "{pid:?} is already running"
         );
-        self.runq.push_back(pid);
+        let key = (procs.must(pid).recent_cpu.as_ns(), self.next_seq);
+        assert!(
+            self.keys.insert(pid, key).is_none(),
+            "{pid:?} already on the run queue"
+        );
+        self.next_seq += 1;
+        self.fifo.insert(key.1, pid);
+        self.by_cpu.insert(key);
     }
 
-    /// Removes and returns the process at the head of the run queue.
-    pub fn take_next(&mut self) -> Option<Pid> {
-        let pid = self.runq.pop_front();
-        if let Some(pid) = pid {
-            self.queued_set.remove(&pid);
+    /// Removes and returns the next process to run: the FIFO head, unless
+    /// the queued process with the least recent CPU outranks it.
+    pub fn take_next(&mut self, procs: &ProcTable) -> Option<Pid> {
+        let (&head_seq, &head) = self.fifo.first_key_value()?;
+        let &(best_cpu, best_seq) = self.by_cpu.first().expect("index mirrors the queue");
+        let best = self.fifo[&best_seq];
+        debug_assert_eq!(
+            best_cpu,
+            procs.must(best).recent_cpu.as_ns(),
+            "{best:?}'s recent CPU changed while queued without a rekey"
+        );
+        let pid = if best_seq != head_seq && procs.outranks(best, head) {
+            best
+        } else {
+            head
+        };
+        let key = self.keys.remove(&pid).expect("queued process has a key");
+        self.fifo.remove(&key.1);
+        self.by_cpu.remove(&key);
+        Some(pid)
+    }
+
+    /// Re-reads every queued process's recent CPU from `procs` (after the
+    /// periodic decay), keeping each one's place in FIFO order.
+    pub fn rekey(&mut self, procs: &ProcTable) {
+        self.by_cpu.clear();
+        for (&seq, &pid) in &self.fifo {
+            let key = (procs.must(pid).recent_cpu.as_ns(), seq);
+            self.keys.insert(pid, key);
+            self.by_cpu.insert(key);
         }
-        pid
-    }
-
-    /// Adds a process to the *head* of the run queue (it was about to be
-    /// dispatched and lost a race; it keeps its turn).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the process is already queued or current.
-    pub fn enqueue_front(&mut self, pid: Pid) {
-        assert!(
-            self.queued_set.insert(pid),
-            "{pid:?} already on the run queue"
-        );
-        assert!(
-            self.current.map(|c| c.pid) != Some(pid),
-            "{pid:?} is already running"
-        );
-        self.runq.push_front(pid);
     }
 
     /// The run queue length.
     pub fn queued(&self) -> usize {
-        self.runq.len()
+        self.fifo.len()
     }
 
     /// The current run record, if a process is on the CPU.
@@ -236,22 +266,77 @@ mod tests {
         SimTime::ZERO + Dur::from_us(us)
     }
 
+    struct Nop;
+    impl crate::Program for Nop {
+        fn step(&mut self, _ctx: &mut crate::UserCtx) -> crate::Step {
+            crate::Step::Exit(0)
+        }
+    }
+
+    /// A table of processes whose recent CPU is `ms[i]` milliseconds.
+    fn table(ms: &[u64]) -> (ProcTable, Vec<Pid>) {
+        let mut t = ProcTable::new();
+        let pids = ms
+            .iter()
+            .map(|&m| {
+                let pid = t.spawn(Box::new(Nop), SimTime::ZERO);
+                t.must_mut(pid).recent_cpu = Dur::from_ms(m);
+                pid
+            })
+            .collect();
+        (t, pids)
+    }
+
+    fn enqueue_all(s: &mut Scheduler, t: &ProcTable, pids: &[Pid]) {
+        for &pid in pids {
+            s.enqueue(pid, t);
+        }
+    }
+
     #[test]
     fn fifo_order() {
+        // 30 ms does not outrank 40 ms (hysteresis: less than half).
+        let (t, p) = table(&[40, 30, 40]);
         let mut s = Scheduler::new(Dur::from_ms(40));
-        s.enqueue(Pid(1));
-        s.enqueue(Pid(2));
-        assert_eq!(s.take_next(), Some(Pid(1)));
-        assert_eq!(s.take_next(), Some(Pid(2)));
-        assert_eq!(s.take_next(), None);
+        enqueue_all(&mut s, &t, &p);
+        assert_eq!(s.take_next(&t), Some(p[0]));
+        assert_eq!(s.take_next(&t), Some(p[1]));
+        assert_eq!(s.take_next(&t), Some(p[2]));
+        assert_eq!(s.take_next(&t), None);
+    }
+
+    #[test]
+    fn a_light_process_jumps_a_hog() {
+        let (t, p) = table(&[40, 10, 0, 0]);
+        let mut s = Scheduler::new(Dur::from_ms(40));
+        enqueue_all(&mut s, &t, &p);
+        // The least-used processes, earliest queued first, each outrank
+        // the hog at the head; 10 ms still outranks 40 ms.
+        assert_eq!(s.take_next(&t), Some(p[2]));
+        assert_eq!(s.take_next(&t), Some(p[3]));
+        assert_eq!(s.take_next(&t), Some(p[1]));
+        assert_eq!(s.take_next(&t), Some(p[0]));
+    }
+
+    #[test]
+    fn rekey_follows_the_decay() {
+        let (mut t, p) = table(&[40, 15]);
+        let mut s = Scheduler::new(Dur::from_ms(40));
+        enqueue_all(&mut s, &t, &p);
+        // Raise the second process's usage past half the head's: once
+        // rekeyed, it no longer jumps the queue.
+        t.must_mut(p[1]).recent_cpu = Dur::from_ms(30);
+        s.rekey(&t);
+        assert_eq!(s.take_next(&t), Some(p[0]));
     }
 
     #[test]
     #[should_panic(expected = "already on the run queue")]
     fn double_enqueue_panics() {
+        let (t, p) = table(&[0]);
         let mut s = Scheduler::new(Dur::from_ms(40));
-        s.enqueue(Pid(1));
-        s.enqueue(Pid(1));
+        s.enqueue(p[0], &t);
+        s.enqueue(p[0], &t);
     }
 
     #[test]

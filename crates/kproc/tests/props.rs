@@ -1,4 +1,5 @@
-//! Property tests for the CPU engine and scheduler bookkeeping.
+//! Property tests for the CPU engine and scheduler bookkeeping, and a
+//! differential test of the indexed run queue against a scanning model.
 
 // Compiled only with `cargo test --features props` (hermetic default
 // builds skip the property suites).
@@ -6,8 +7,40 @@
 
 use proptest::prelude::*;
 
-use kproc::{Admit, CpuEngine, CurrentRun, Pid, RunKind, Scheduler, WorkClass};
+use kproc::{
+    Admit, CpuEngine, CurrentRun, Pid, ProcTable, Program, RunKind, Scheduler, Step, UserCtx,
+    WorkClass,
+};
 use ksim::{Dur, SimTime};
+
+struct Nop;
+impl Program for Nop {
+    fn step(&mut self, _ctx: &mut UserCtx) -> Step {
+        Step::Exit(0)
+    }
+}
+
+/// The reference run queue: a FIFO `Vec` scanned for the least recent
+/// CPU on every take.
+#[derive(Default)]
+struct ScanQueue {
+    fifo: Vec<Pid>,
+}
+
+impl ScanQueue {
+    fn take_next(&mut self, procs: &ProcTable) -> Option<Pid> {
+        let head = *self.fifo.first()?;
+        // `min_by_key` keeps the first of equal keys: FIFO among ties.
+        let (at, &best) = self
+            .fifo
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &p)| procs.must(p).recent_cpu)
+            .unwrap();
+        let at = if procs.outranks(best, head) { at } else { 0 };
+        Some(self.fifo.remove(at))
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -98,5 +131,46 @@ proptest! {
             prop_assert_eq!(run.stolen, Dur::from_us(penalty_us));
             now = run.chunk_end;
         }
+    }
+
+    /// Random enqueue / take / decay sequences: the indexed queue picks
+    /// exactly what a scan of the FIFO picks. A taken process "runs" and
+    /// is charged CPU before it may be queued again; the decay halves
+    /// every process's usage and rekeys the index.
+    #[test]
+    fn indexed_run_queue_matches_a_scanning_model(
+        ops in prop::collection::vec((0u8..3, 0usize..12, 0u64..80), 1..300)
+    ) {
+        let mut procs = ProcTable::new();
+        let pids: Vec<Pid> = (0..12).map(|_| procs.spawn(Box::new(Nop), SimTime::ZERO)).collect();
+        let mut sched = Scheduler::new(Dur::from_ms(40));
+        let mut model = ScanQueue::default();
+        for (op, who, ms) in ops {
+            match op {
+                0 => {
+                    let pid = pids[who];
+                    if !model.fifo.contains(&pid) {
+                        sched.enqueue(pid, &procs);
+                        model.fifo.push(pid);
+                    }
+                }
+                1 => {
+                    let got = sched.take_next(&procs);
+                    prop_assert_eq!(got, model.take_next(&procs));
+                    if let Some(pid) = got {
+                        procs.must_mut(pid).recent_cpu += Dur::from_ms(ms);
+                    }
+                }
+                _ => {
+                    procs.decay_recent_cpu();
+                    sched.rekey(&procs);
+                }
+            }
+            prop_assert_eq!(sched.queued(), model.fifo.len());
+        }
+        while let Some(pid) = model.take_next(&procs) {
+            prop_assert_eq!(sched.take_next(&procs), Some(pid));
+        }
+        prop_assert_eq!(sched.take_next(&procs), None);
     }
 }

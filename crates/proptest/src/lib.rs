@@ -7,7 +7,9 @@
 //! strategies, `prop::collection::vec`, and `ProptestConfig` — on top of
 //! a deterministic SplitMix64 generator seeded from the test name, so
 //! every run explores the same cases (reproducible failures, hermetic
-//! CI).
+//! CI). Setting `PROPS_SEED=<u64>` mixes that seed in, so each property
+//! explores a different, still reproducible, set of cases; a failure
+//! names the seed to export.
 //!
 //! Shrinking is intentionally not implemented: on failure the panic
 //! message reports the raw case, which is already deterministic.
@@ -19,6 +21,11 @@ pub mod rng {
         state: u64,
     }
 
+    /// The `PROPS_SEED` environment override, if set to a `u64`.
+    pub fn props_seed() -> Option<u64> {
+        std::env::var("PROPS_SEED").ok()?.parse().ok()
+    }
+
     impl Rng {
         /// Seeds from an arbitrary byte string (e.g. the test name) via FNV-1a.
         pub fn from_name(name: &str) -> Rng {
@@ -28,6 +35,22 @@ pub mod rng {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
             Rng { state: h }
+        }
+
+        /// The generator for the property `name`: seeded from the name,
+        /// mixed with [`props_seed`] when `PROPS_SEED` is set.
+        pub fn for_test(name: &str) -> Rng {
+            match props_seed() {
+                Some(seed) => Rng::from_name_and_seed(name, seed),
+                None => Rng::from_name(name),
+            }
+        }
+
+        /// Seeds from the name with `seed` mixed in.
+        pub fn from_name_and_seed(name: &str, seed: u64) -> Rng {
+            let mut rng = Rng::from_name(name);
+            rng.state ^= Rng { state: seed }.next_u64();
+            rng
         }
 
         /// Next 64 uniform bits.
@@ -356,7 +379,7 @@ macro_rules! __proptest_items {
         $(#[$meta])*
         fn $name() {
             let cfg = $cfg;
-            let mut rng = $crate::rng::Rng::from_name(concat!(module_path!(), "::", stringify!($name)));
+            let mut rng = $crate::rng::Rng::for_test(concat!(module_path!(), "::", stringify!($name)));
             for case in 0..cfg.cases {
                 $(let $arg = $crate::strategy::Strategy::generate(&($strat), &mut rng);)+
                 // Render the case up front: the body may consume the values.
@@ -366,8 +389,12 @@ macro_rules! __proptest_items {
                 );
                 let result = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(|| $body));
                 if let Err(panic) = result {
+                    let seed = match $crate::rng::props_seed() {
+                        Some(seed) => format!("PROPS_SEED={seed}"),
+                        None => "PROPS_SEED unset".to_string(),
+                    };
                     eprintln!(
-                        "proptest case {case} of {} failed:{case_desc}",
+                        "proptest case {case} of {} failed ({seed}):{case_desc}",
                         stringify!($name)
                     );
                     ::std::panic::resume_unwind(panic);
@@ -422,6 +449,17 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn a_props_seed_changes_the_cases_reproducibly() {
+        use crate::rng::Rng;
+        let mut plain = Rng::from_name("x");
+        let mut a = Rng::from_name_and_seed("x", 7);
+        let mut b = Rng::from_name_and_seed("x", 7);
+        let first = a.next_u64();
+        assert_ne!(plain.next_u64(), first);
+        assert_eq!(b.next_u64(), first);
     }
 
     #[test]

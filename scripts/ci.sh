@@ -128,6 +128,16 @@ cargo test -q -p kdev --features props --test props
 cargo test -q -p kproc --features props --test props
 cargo test -q --features props --test props_kernel
 
+echo "== property suites, randomized seed =="
+PROPS_SEED=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
+echo "-- PROPS_SEED=$PROPS_SEED"
+for crate in ksim kbuf khw kfs kdev kproc; do
+    PROPS_SEED="$PROPS_SEED" cargo test -q -p "$crate" --features props --test props ||
+        { echo "$crate props FAILED with PROPS_SEED=$PROPS_SEED (export it to reproduce)"; exit 1; }
+done
+PROPS_SEED="$PROPS_SEED" cargo test -q --features props --test props_kernel ||
+    { echo "kernel props FAILED with PROPS_SEED=$PROPS_SEED (export it to reproduce)"; exit 1; }
+
 echo "== simspeed smoke run =="
 rm -f BENCH_simspeed.json
 cargo run --release -p bench --bin simspeed

@@ -9,11 +9,12 @@ use std::rc::Rc;
 
 use knet::LinkModel;
 use kproc::programs::{
-    open_loop_delays, scenario_stats, ServeMode, ServerClient, SharedScenario, SpliceServer,
+    open_loop_delays, scenario_stats, CpuBound, ServeMode, ServerClient, SharedScenario,
+    SpliceServer,
 };
 use kproc::{ProcState, SockAddr};
 use ksim::{Dur, ObsConfig, ReqSpan, SloConfig};
-use splice::{Kernel, KernelBuilder};
+use splice::{Kernel, KernelBuilder, KernelConfig};
 
 const FILE_BYTES: u64 = 8 * 1024;
 const PORT: u16 = 80;
@@ -167,9 +168,15 @@ fn server_seed() -> u64 {
 }
 
 /// Runs `conns` open-loop clients, arriving uniformly over `window`,
-/// against one server in `mode`. The server must exit clean and every
-/// payload must be byte-exact.
-fn run_fleet(conns: usize, window: Dur, mode: ServeMode, seed: u64) -> (Kernel, SharedScenario) {
+/// against one server in `mode`, optionally beside a compute program.
+/// The server must exit clean and every payload must be byte-exact.
+fn run_fleet(
+    conns: usize,
+    window: Dur,
+    mode: ServeMode,
+    seed: u64,
+    compute: Option<CpuBound>,
+) -> (Kernel, SharedScenario) {
     let mut k = server_kernel(seed, 0);
     let stats = scenario_stats();
     let server = k.spawn(Box::new(SpliceServer::new(
@@ -190,6 +197,9 @@ fn run_fleet(conns: usize, window: Dur, mode: ServeMode, seed: u64) -> (Kernel, 
             Rc::clone(&stats),
         )));
     }
+    if let Some(compute) = compute {
+        k.spawn(Box::new(compute));
+    }
     let horizon = k.horizon(600);
     k.run_to_exit(horizon);
     assert!(
@@ -208,7 +218,7 @@ fn run_fleet(conns: usize, window: Dur, mode: ServeMode, seed: u64) -> (Kernel, 
 /// bench; returns (completed, bytes_received, splices started).
 fn serve_fleet(conns: usize, mode: ServeMode, seed: u64) -> (u64, u64, u64) {
     let window = Dur::from_ns(conns as u64 * 100_000);
-    let (k, stats) = run_fleet(conns, window, mode, seed);
+    let (k, stats) = run_fleet(conns, window, mode, seed, None);
     let s = stats.borrow();
     (s.completed, s.bytes_received, k.metrics().splice.started)
 }
@@ -235,7 +245,7 @@ fn depth1_splice_and_ring64_serve_byte_exact() {
 /// request→last-byte latency histogram.
 fn p99_at(conns: usize) -> u64 {
     let window = Dur::from_ns(conns as u64 * 100_000);
-    let (_, stats) = run_fleet(conns, window, ServeMode::Ring { depth: 64 }, SEED);
+    let (_, stats) = run_fleet(conns, window, ServeMode::Ring { depth: 64 }, SEED, None);
     let s = stats.borrow();
     assert_eq!(s.completed, conns as u64);
     s.latency.p99().unwrap()
@@ -245,8 +255,10 @@ fn p99_at(conns: usize) -> u64 {
 /// instead of waiting for `depth` of them: at one arrival every 50 ms,
 /// far beyond one request's service time, a depth-64 ring serves as
 /// fast as one-at-a-time `splice(2)` and far faster than the 3.2 s it
-/// takes 64 arrivals to fill a wave. `scripts/ci.sh` randomizes
-/// `SERVER_SEED`.
+/// takes 64 arrivals to fill a wave. A compute program outlasting the
+/// fleet shares the CPU, and the woken server and clients run ahead of
+/// it: the ring p50 stays under a quarter of its 40 ms quantum.
+/// `scripts/ci.sh` randomizes `SERVER_SEED`.
 #[test]
 fn ring_waves_do_not_wait_to_fill_below_saturation() {
     let seed = server_seed();
@@ -254,7 +266,8 @@ fn ring_waves_do_not_wait_to_fill_below_saturation() {
     let gap = Dur::from_ms(50);
     let window = Dur::from_ns(conns as u64 * gap.as_ns());
     let p50 = |mode| {
-        let (_, stats) = run_fleet(conns, window, mode, seed);
+        let compute = CpuBound::with_total(window + Dur::from_secs(1));
+        let (_, stats) = run_fleet(conns, window, mode, seed, Some(compute));
         let s = stats.borrow();
         assert_eq!(s.completed, conns as u64, "{mode:?} seed {seed}: short");
         s.latency.p50().unwrap()
@@ -269,6 +282,11 @@ fn ring_waves_do_not_wait_to_fill_below_saturation() {
     assert!(
         ring < wave_fill / 10,
         "SERVER_SEED={seed}: ring p50 {ring}ns near the {wave_fill}ns wave-fill time"
+    );
+    let quarter_quantum = KernelConfig::default().machine.quantum.as_ns() / 4;
+    assert!(
+        ring < quarter_quantum,
+        "SERVER_SEED={seed}: ring p50 {ring}ns queued behind the compute program"
     );
 }
 
