@@ -244,8 +244,10 @@ pub struct LatencyMetrics {
 
 /// One coherent, typed view of everything the kernel measured.
 ///
-/// Built by [`Kernel::metrics`]; cheap enough to take repeatedly (the
-/// spans are cloned, everything else is `Copy`).
+/// Built by [`Kernel::metrics`]; cheap enough to take repeatedly: the
+/// spans share the kernel's map (an O(1) clone that copies on the
+/// kernel's next span update only while the snapshot is alive), and
+/// everything else is `Copy`.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Simulated time the snapshot was taken.

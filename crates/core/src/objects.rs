@@ -161,6 +161,12 @@ pub struct OpenFile {
 }
 
 /// The open-file table plus per-process descriptor tables.
+///
+/// Open-file slots are reused once their last descriptor closes, and a
+/// process's descriptor map exists only while it has a descriptor open:
+/// closing the last one drops the map, as `closef` leaves nothing of a
+/// closed file behind. Memory follows what is open now, not every
+/// process that ever opened something.
 #[derive(Default)]
 pub struct FileTable {
     files: Vec<Option<OpenFile>>,
@@ -210,7 +216,11 @@ impl FileTable {
     /// Closes `fd` for `pid`; returns the open file if this was the last
     /// reference (so the kernel can release the underlying object).
     pub fn close(&mut self, pid: Pid, fd: Fd) -> Option<Option<OpenFile>> {
-        let fid = self.fds.get_mut(&pid)?.remove(&fd)?;
+        let table = self.fds.get_mut(&pid)?;
+        let fid = table.remove(&fd)?;
+        if table.is_empty() {
+            self.fds.remove(&pid);
+        }
         let slot = self.files.get_mut(fid.0 as usize)?;
         let f = slot.as_mut()?;
         f.refs -= 1;
@@ -288,6 +298,22 @@ mod tests {
         assert_eq!(t.live(), 0);
         assert!(t.get(fid).is_none());
         assert!(t.close(Pid(1), fd).is_none(), "double close fails");
+    }
+
+    #[test]
+    fn closing_the_last_fd_drops_the_fd_map() {
+        let mut t = FileTable::new();
+        for pid in 1..=100 {
+            let (a, _) = t.open(Pid(pid), file());
+            let (b, _) = t.open(Pid(pid), file());
+            t.close(Pid(pid), a).unwrap();
+            assert_eq!(t.fds.len(), 1, "pid {pid} still holds {b:?}");
+            t.close(Pid(pid), b).unwrap();
+            assert!(t.fds.is_empty(), "pid {pid} has no open fds");
+        }
+        assert_eq!(t.live(), 0);
+        assert!(t.fds_of(Pid(1)).is_empty());
+        assert!(t.resolve(Pid(1), Fd(3)).is_none());
     }
 
     #[test]

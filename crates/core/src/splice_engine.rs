@@ -624,27 +624,27 @@ impl Kernel {
             ReadPlan::Stream { chunk } => (*chunk as u64).min(remaining) as usize,
             ReadPlan::Mapped { .. } => panic!("stream pull on a mapped splice"),
         };
-        if d.error.is_some() || want == 0 {
-            // The source closed, the splice is aborting, or the target
-            // was reached while this pull was queued; release the slot.
-            let d = self.splices.get_mut(&desc).unwrap();
-            d.pending_reads = d.pending_reads.saturating_sub(1);
-            self.end_flight(desc, lblk);
-            self.maybe_finish_abort(desc);
-            return;
-        }
-        let payload = match src {
-            SrcEndpoint::Sock { sock } => self.sock_pull(sock, want),
-            SrcEndpoint::Fb { cdev } => Some(self.fb_pull(cdev, now, want)),
-            SrcEndpoint::File { .. } => unreachable!("stream pull from a file"),
+        let payload = if d.error.is_some() || want == 0 {
+            // The source closed (EOF clamped the target to what was
+            // already pulled) or the splice is aborting.
+            None
+        } else {
+            match src {
+                SrcEndpoint::Sock { sock } => self.sock_pull(sock, want),
+                SrcEndpoint::Fb { cdev } => Some(self.fb_pull(cdev, now, want)),
+                SrcEndpoint::File { .. } => unreachable!("stream pull from a file"),
+            }
         };
         let Some(payload) = payload else {
-            // Socket drained between issue and apply; the next delivery
-            // re-arms via net_rx.
+            // No block for this pull: release its slot. A socket drained
+            // between issue and apply is re-armed by the next delivery;
+            // a pull that outlived its source's EOF may be the last work
+            // the splice was waiting for.
             let d = self.splices.get_mut(&desc).unwrap();
             d.pending_reads = d.pending_reads.saturating_sub(1);
             self.end_flight(desc, lblk);
             self.maybe_finish_abort(desc);
+            self.finish_if_drained(desc);
             return;
         };
         let d = self.splices.get_mut(&desc).unwrap();
@@ -816,7 +816,9 @@ impl Kernel {
         let finished = !aborting
             && match &d.plan {
                 ReadPlan::Mapped { src_map, .. } => d.blocks_done == src_map.len(),
-                ReadPlan::Stream { .. } => d.bytes_done >= d.total,
+                // A pull still queued after EOF finishes the splice
+                // when it releases its slot.
+                ReadPlan::Stream { .. } => d.bytes_done >= d.total && d.pending_reads == 0,
             };
         let refill = !aborting
             && !finished
@@ -1069,7 +1071,8 @@ impl Kernel {
     }
 
     /// Source closed mid-splice = EOF: clamp the target to what was
-    /// actually pulled and let in-flight writes drain before completing.
+    /// actually pulled and let in-flight reads and writes drain before
+    /// completing.
     pub(crate) fn finish_splice_now(&mut self, desc: u64) {
         let Some(d) = self.splices.get_mut(&desc) else {
             return;
@@ -1077,11 +1080,26 @@ impl Kernel {
         if let ReadPlan::Stream { .. } = d.plan {
             d.total = d.total.min(d.stream_taken);
         }
-        if d.pending_writes == 0 && d.bytes_done >= d.total {
+        self.finish_if_drained(desc);
+        // Otherwise the last pull to release its slot, or the last
+        // splice_block_completed, sees the clamped total reached with
+        // nothing in flight and completes the splice.
+    }
+
+    /// Completes `desc` now if its target is reached and nothing is in
+    /// flight: the condition `complete_splice` asserts.
+    fn finish_if_drained(&mut self, desc: u64) {
+        let Some(d) = self.splices.get(&desc) else {
+            return;
+        };
+        if d.error.is_none()
+            && d.in_flight.is_empty()
+            && d.pending_reads == 0
+            && d.pending_writes == 0
+            && d.bytes_done >= d.total
+        {
             self.complete_splice(desc);
         }
-        // Otherwise the last splice_block_completed sees bytes_done reach
-        // the clamped total and completes the splice.
     }
 
     /// Finalisation, one tail for every entry path: latch the outcome,

@@ -42,7 +42,7 @@
 //! datagram ends in exactly one of `delivered` or these, so byte
 //! conservation holds exactly.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use ksim::{Dur, SimTime};
 
@@ -218,7 +218,6 @@ struct Socket {
     rcv_used: usize,
     rcv_limit: usize,
     snd_limit: usize,
-    open: bool,
 }
 
 /// Cumulative network counters. Datagram counts and payload-byte counts
@@ -278,8 +277,15 @@ impl NetStats {
 }
 
 /// The network stack state.
+///
+/// The socket table holds open sockets only: [`Net::close`] removes the
+/// entry (and its receive queue) the way BSD's `soclose` frees the
+/// socket, so memory follows the number of sockets open now, not the
+/// number ever opened. Ids come from a monotonic counter and are never
+/// reused, so a closed id stays unknown ([`NetErr::BadSocket`]).
 pub struct Net {
-    socks: Vec<Socket>,
+    socks: BTreeMap<SockId, Socket>,
+    next_sock: u32,
     ports: HashMap<NetAddr, SockId>,
     /// Per-host modelled links (destination host → link).
     links: HashMap<u32, LinkState>,
@@ -301,7 +307,8 @@ impl Net {
     /// 64 KB socket buffers.
     pub fn new() -> Net {
         Net {
-            socks: Vec::new(),
+            socks: BTreeMap::new(),
+            next_sock: 0,
             ports: HashMap::new(),
             links: HashMap::new(),
             link_bps: 1_250_000,
@@ -348,23 +355,24 @@ impl Net {
     }
 
     fn sock(&self, id: SockId) -> Result<&Socket, NetErr> {
-        self.socks
-            .get(id.0 as usize)
-            .filter(|s| s.open)
-            .ok_or(NetErr::BadSocket)
+        self.socks.get(&id).ok_or(NetErr::BadSocket)
     }
 
     fn sock_mut(&mut self, id: SockId) -> Result<&mut Socket, NetErr> {
-        self.socks
-            .get_mut(id.0 as usize)
-            .filter(|s| s.open)
-            .ok_or(NetErr::BadSocket)
+        self.socks.get_mut(&id).ok_or(NetErr::BadSocket)
+    }
+
+    /// Enters `sock` in the table under the next unused id.
+    fn insert(&mut self, sock: Socket) -> SockId {
+        let id = SockId(self.next_sock);
+        self.next_sock += 1;
+        self.socks.insert(id, sock);
+        id
     }
 
     /// Creates a UDP socket on `host`.
     pub fn socket(&mut self, host: u32) -> SockId {
-        let id = SockId(self.socks.len() as u32);
-        self.socks.push(Socket {
+        self.insert(Socket {
             host,
             local_port: None,
             peer: None,
@@ -375,45 +383,29 @@ impl Net {
             rcv_used: 0,
             rcv_limit: self.rcv_limit,
             snd_limit: self.snd_limit,
-            open: true,
-        });
-        id
+        })
     }
 
-    /// Closes a socket, releasing its port and dropping queued data.
+    /// Closes a socket, releasing its port and dropping queued data. The
+    /// socket leaves the table; its id is never handed out again.
     ///
     /// Closing a **listener** also closes its not-yet-accepted pending
     /// connections and detaches already-accepted ones (they live on,
     /// unwired from the dead listener). Closing a **connection** removes
     /// it from its listener's demultiplexer so the remote may reconnect.
     pub fn close(&mut self, id: SockId) -> Result<(), NetErr> {
-        let (host, port, on_listener, listener, thrown, thrown_bytes) = {
-            let s = self.sock_mut(id)?;
-            s.open = false;
-            let thrown = s.rcv_queue.len() as u64;
-            let thrown_bytes = s.rcv_used as u64;
-            s.rcv_queue.clear();
-            s.rcv_used = 0;
-            (
-                s.host,
-                s.local_port,
-                s.on_listener.take(),
-                s.listener.take(),
-                thrown,
-                thrown_bytes,
-            )
-        };
-        self.stats.discarded_close += thrown;
-        self.stats.bytes_discarded_close += thrown_bytes;
-        if let Some(p) = port {
-            let addr = NetAddr { host, port: p };
+        let s = self.socks.remove(&id).ok_or(NetErr::BadSocket)?;
+        self.stats.discarded_close += s.rcv_queue.len() as u64;
+        self.stats.bytes_discarded_close += s.rcv_used as u64;
+        if let Some(port) = s.local_port {
+            let addr = NetAddr { host: s.host, port };
             // Connection sockets share the listener's port without owning
             // the namespace entry: only the owner unbinds it.
             if self.ports.get(&addr) == Some(&id) {
                 self.ports.remove(&addr);
             }
         }
-        if let Some(lst) = listener {
+        if let Some(lst) = s.listener {
             for conn in lst.pending {
                 let _ = self.close(conn);
             }
@@ -425,7 +417,7 @@ impl Net {
                 }
             }
         }
-        if let Some((lst, key)) = on_listener {
+        if let Some((lst, key)) = s.on_listener {
             if let Ok(l) = self.sock_mut(lst) {
                 if let Some(listener) = l.listener.as_mut() {
                     listener.conns.remove(&key);
@@ -520,19 +512,15 @@ impl Net {
         self.sock(id).ok().and_then(|s| s.peer)
     }
 
-    /// Open sockets (leak checks).
+    /// Open sockets (leak checks): the size of the socket table.
     pub fn open_socks(&self) -> usize {
-        self.socks.iter().filter(|s| s.open).count()
+        self.socks.len()
     }
 
     /// Bytes queued unread across every open socket (exact-accounting
     /// term for receivers that stopped consuming).
     pub fn total_rcv_used(&self) -> usize {
-        self.socks
-            .iter()
-            .filter(|s| s.open)
-            .map(|s| s.rcv_used)
-            .sum()
+        self.socks.values().map(|s| s.rcv_used).sum()
     }
 
     /// Serialisation backlog of the modelled link to `host`, in bytes,
@@ -690,7 +678,10 @@ impl Net {
 
     /// Queues `dgram` on `sock`, enforcing the receive-buffer limit.
     fn queue_into(&mut self, sock: SockId, dgram: Datagram) -> DeliverOutcome {
-        let s = &mut self.socks[sock.0 as usize];
+        let s = self
+            .socks
+            .get_mut(&sock)
+            .expect("caller checked the socket");
         if s.rcv_used + dgram.data.len() > s.rcv_limit {
             self.stats.dropped_rcv_full += 1;
             self.stats.bytes_dropped_rcv_full += dgram.data.len() as u64;
@@ -724,10 +715,7 @@ impl Net {
         }
 
         let key = dgram.src_sock;
-        let l = self.socks[dst.0 as usize]
-            .listener
-            .as_ref()
-            .expect("checked above");
+        let l = s.listener.as_ref().expect("checked above");
         if let Some(&conn) = l.conns.get(&key) {
             if self.sock(conn).is_ok() {
                 return self.queue_into(conn, dgram);
@@ -748,14 +736,11 @@ impl Net {
 
         // Carve the connection: it shares the listener's port (without
         // owning the namespace entry) and is wired to the source socket.
-        let (host, port, rcv_limit, snd_limit) = {
-            let s = &self.socks[dst.0 as usize];
-            (s.host, s.local_port, s.rcv_limit, s.snd_limit)
-        };
-        let conn = SockId(self.socks.len() as u32);
-        self.socks.push(Socket {
+        let (host, local_port, rcv_limit, snd_limit) =
+            (s.host, s.local_port, s.rcv_limit, s.snd_limit);
+        let conn = self.insert(Socket {
             host,
-            local_port: port,
+            local_port,
             peer: Some(dgram.src),
             peer_sock: Some(key),
             listener: None,
@@ -764,11 +749,11 @@ impl Net {
             rcv_used: 0,
             rcv_limit,
             snd_limit,
-            open: true,
         });
-        let l = self.socks[dst.0 as usize]
-            .listener
-            .as_mut()
+        let l = self
+            .socks
+            .get_mut(&dst)
+            .and_then(|s| s.listener.as_mut())
             .expect("checked above");
         l.pending.push_back(conn);
         self.stats.backlog_peak = self.stats.backlog_peak.max(l.pending.len() as u64);
@@ -1126,6 +1111,53 @@ mod tests {
             net.deliver(l, dgram(&net, c, 0)),
             DeliverOutcome::NewConn { .. }
         ));
+    }
+
+    #[test]
+    fn closed_sockets_leave_the_table() {
+        let mut net = Net::new();
+        let l = listener(&mut net, 80, 4);
+        let mut last = None;
+        for _ in 0..10_000 {
+            let c = client(&mut net, 80);
+            let tx = net.send(SimTime::ZERO, c, 64).unwrap();
+            let DeliverOutcome::NewConn { sock: conn } =
+                net.deliver(tx.dst.unwrap(), dgram(&net, c, 64))
+            else {
+                panic!("expected a new connection");
+            };
+            assert_eq!(net.accept(l).unwrap(), Some(conn));
+            // The connection closes with its request still queued.
+            net.close(conn).unwrap();
+            net.close(c).unwrap();
+            last = Some((c, conn));
+        }
+        assert_eq!(net.stats().conns_opened, 10_000);
+        assert_eq!(net.stats().discarded_close, 10_000);
+        assert_eq!(net.open_socks(), 1, "only the listener is left");
+        assert_eq!(net.socks.len(), 1);
+        assert_eq!(net.conn_count(l), 0);
+        // A closed id stays unknown: late deliveries to it are dropped
+        // as having no receiver, and ids are never handed out again.
+        let (c, conn) = last.unwrap();
+        let late = Datagram {
+            src: NetAddr {
+                host: HOST,
+                port: 0,
+            },
+            src_sock: c,
+            data: vec![7; 32],
+        };
+        assert_eq!(
+            net.deliver(conn, late),
+            DeliverOutcome::Dropped {
+                reason: DropReason::NoReceiver
+            }
+        );
+        assert_eq!(net.stats().dropped_no_listener, 1);
+        assert_eq!(net.stats().bytes_dropped_no_listener, 32);
+        assert_eq!(net.close(conn), Err(NetErr::BadSocket));
+        assert!(net.socket(HOST) > conn, "ids are not reused");
     }
 
     #[test]

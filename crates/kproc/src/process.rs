@@ -2,13 +2,13 @@
 //!
 //! State changes go through [`ProcTable::set_state`], which maintains
 //! three incremental indices — the live count, the user-demand count,
-//! and the per-channel sleeper lists — so `all_exited`,
+//! and the ordered `(channel, pid)` sleeper set — so `all_exited`,
 //! `any_user_demand`, and `sleepers` are O(1)-ish however many
 //! processes exist. A connection-scale scenario (tens of thousands of
 //! client processes) calls all three on hot paths; scanning the table
 //! there would make the whole simulation quadratic.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use ksim::{Dur, SimTime};
 
@@ -95,6 +95,11 @@ impl Process {
 }
 
 /// The process table: owns every process, allocates pids.
+///
+/// The sleeper index holds one `(channel, pid)` entry per process asleep
+/// now; waking removes it, so a channel nobody sleeps on costs nothing.
+/// Exited processes stay in the table (their accounting feeds the
+/// reports).
 #[derive(Default)]
 pub struct ProcTable {
     procs: BTreeMap<Pid, Process>,
@@ -103,8 +108,8 @@ pub struct ProcTable {
     live: usize,
     /// Processes runnable or running.
     demand: usize,
-    /// Pids sleeping on each channel, insertion order.
-    sleep_index: HashMap<Chan, Vec<Pid>>,
+    /// Every sleeping process, keyed by its channel then its pid.
+    sleep_index: BTreeSet<(Chan, Pid)>,
 }
 
 impl ProcTable {
@@ -115,7 +120,7 @@ impl ProcTable {
             next_pid: 1,
             live: 0,
             demand: 0,
-            sleep_index: HashMap::new(),
+            sleep_index: BTreeSet::new(),
         }
     }
 
@@ -164,15 +169,15 @@ impl ProcTable {
         match old {
             ProcState::Runnable | ProcState::Running => self.demand -= 1,
             ProcState::Sleeping(chan) => {
-                if let Some(v) = self.sleep_index.get_mut(&chan) {
-                    v.retain(|&q| q != pid);
-                }
+                self.sleep_index.remove(&(chan, pid));
             }
             ProcState::Exited(_) => self.live += 1,
         }
         match state {
             ProcState::Runnable | ProcState::Running => self.demand += 1,
-            ProcState::Sleeping(chan) => self.sleep_index.entry(chan).or_default().push(pid),
+            ProcState::Sleeping(chan) => {
+                self.sleep_index.insert((chan, pid));
+            }
             ProcState::Exited(_) => self.live -= 1,
         }
     }
@@ -239,9 +244,10 @@ impl ProcTable {
     /// Every process sleeping on `chan`, in pid order (the order the
     /// original table scan produced, so wakeup ordering is unchanged).
     pub fn sleepers(&self, chan: Chan) -> Vec<Pid> {
-        let mut v = self.sleep_index.get(&chan).cloned().unwrap_or_default();
-        v.sort_unstable();
-        v
+        self.sleep_index
+            .range((chan, Pid(0))..=(chan, Pid(u32::MAX)))
+            .map(|&(_, pid)| pid)
+            .collect()
     }
 
     /// True when every process has exited.
@@ -306,6 +312,36 @@ mod tests {
             t.set_state(pid, ProcState::Sleeping(chan));
         }
         assert_eq!(t.sleepers(chan), vec![a, b, c]);
+    }
+
+    #[test]
+    fn sleep_index_holds_only_current_sleepers() {
+        let mut t = ProcTable::new();
+        let pids: Vec<Pid> = (0..50)
+            .map(|_| t.spawn(Box::new(Nop), SimTime::ZERO))
+            .collect();
+        // Every process sleeps on its own channel, then half of them
+        // share one, slept on in reverse pid order.
+        for (i, &pid) in pids.iter().enumerate() {
+            let own = Chan::new(crate::types::ChanSpace::Splice, i as u64);
+            t.set_state(pid, ProcState::Sleeping(own));
+            t.set_state(pid, ProcState::Runnable);
+        }
+        let shared = Chan::new(crate::types::ChanSpace::Accept, 1);
+        for &pid in pids.iter().step_by(2).rev() {
+            t.set_state(pid, ProcState::Sleeping(shared));
+        }
+        let evens: Vec<Pid> = pids.iter().step_by(2).copied().collect();
+        assert_eq!(t.sleepers(shared), evens, "pid order, not sleep order");
+        assert_eq!(t.sleep_index.len(), evens.len());
+        for pid in evens {
+            t.set_state(pid, ProcState::Runnable);
+        }
+        assert!(t.sleepers(shared).is_empty());
+        assert!(
+            t.sleep_index.is_empty(),
+            "woken sleepers leave nothing behind"
+        );
     }
 
     #[test]

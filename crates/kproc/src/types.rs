@@ -22,7 +22,7 @@ pub enum Sig {
 
 /// Namespaces for sleep/wakeup channels. The kernel maps kernel objects
 /// into `(space, id)` pairs; `kproc` treats them as opaque.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum ChanSpace {
     /// A specific buffer-cache buffer (biowait / getblk collision).
     Buf,
@@ -49,7 +49,7 @@ pub enum ChanSpace {
 }
 
 /// A sleep/wakeup channel (BSD `tsleep`/`wakeup` address analogue).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct Chan {
     /// Which namespace the id lives in.
     pub space: ChanSpace,

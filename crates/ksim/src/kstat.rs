@@ -22,6 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Index;
+use std::sync::Arc;
 
 use crate::hist::Hist;
 use crate::json::Json;
@@ -144,9 +145,14 @@ impl SpliceSpan {
 ///
 /// Indexable (`spans[desc]`) for ergonomic assertions; panics on an
 /// unknown id like a slice would.
+///
+/// The map sits behind an [`Arc`], so a clone (every
+/// `Kernel::metrics` snapshot takes one) is O(1) and shares the
+/// history instead of copying it. The two mutators copy on write only
+/// while a clone is still alive.
 #[derive(Clone, Debug, Default)]
 pub struct SpliceSpans {
-    spans: BTreeMap<u64, SpliceSpan>,
+    spans: Arc<BTreeMap<u64, SpliceSpan>>,
 }
 
 impl SpliceSpans {
@@ -159,7 +165,7 @@ impl SpliceSpans {
     /// span under the same id (descriptor ids are never reused by the
     /// splice engine, so this only matters for defensive callers).
     pub fn start(&mut self, id: u64, now: SimTime) -> &mut SpliceSpan {
-        self.spans
+        Arc::make_mut(&mut self.spans)
             .entry(id)
             .or_insert_with(|| SpliceSpan::new(id, now))
     }
@@ -167,7 +173,7 @@ impl SpliceSpans {
     /// Mutable access for the instrumentation sites; `None` for ids
     /// that never started a span.
     pub fn get_mut(&mut self, id: u64) -> Option<&mut SpliceSpan> {
-        self.spans.get_mut(&id)
+        Arc::make_mut(&mut self.spans).get_mut(&id)
     }
 
     /// Shared access by id.

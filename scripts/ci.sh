@@ -143,6 +143,18 @@ rm -f BENCH_simspeed.json
 cargo run --release -p bench --bin simspeed
 test -s BENCH_simspeed.json
 
+echo "== perfbench smoke run: the repository benchmark builds, runs and self-checks =="
+# perfbench is its own Cargo workspace, so nothing above builds it.
+for wl in copy_scp copy_cp serve_ring; do
+    echo "-- perfbench: $wl"
+    last=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$wl" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    case "$last" in
+        *'"correct":true'*) ;;
+        *) echo "perfbench $wl FAILED: $last"; exit 1 ;;
+    esac
+done
+
 echo "== determinism gate: two seeded runs must emit identical trace bytes =="
 cargo run --release -p bench --bin tracedump -- scp_ram
 TRACE_A=$(mktemp)

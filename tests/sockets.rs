@@ -1,7 +1,10 @@
 //! Cross-crate integration: UDP datagram flow through the kernel.
 
 use kproc::programs::{UdpRelayRw, UdpRelaySplice, UdpSink, UdpSource};
-use kproc::{ProcState, SockAddr};
+use kproc::{
+    FcntlCmd, Fd, ProcState, Program, Sig, SockAddr, SpliceReq, Step, SyscallReq, SyscallRet,
+    UserCtx,
+};
 use ksim::Dur;
 use splice::KernelBuilder;
 
@@ -165,4 +168,119 @@ fn rw_relay_with_cpu_contention() {
     assert!(matches!(k.procs().must(test).state, ProcState::Exited(0)));
     assert!(matches!(k.procs().must(sink).state, ProcState::Exited(0)));
     assert!(matches!(k.procs().must(relay).state, ProcState::Exited(0)));
+}
+
+/// Starts an async splice from a bound socket to a connected one, feeds
+/// it two datagrams from a third socket, and closes the source (EOF for
+/// the splice) `close_after` past the second send. Then waits for the
+/// completion `SIGIO`.
+struct ClosingRelay {
+    close_after: Dur,
+    st: u32,
+    src: Option<Fd>,
+    out: Option<Fd>,
+    tx: Option<Fd>,
+}
+
+impl Program for ClosingRelay {
+    fn step(&mut self, ctx: &mut UserCtx) -> Step {
+        self.st += 1;
+        let ret = ctx.ret.take();
+        let fd = ret.as_ref().and_then(SyscallRet::as_fd);
+        let port = |port| SockAddr { host: 1, port };
+        match self.st {
+            1 | 3 | 5 => Step::Syscall(SyscallReq::Socket),
+            2 => {
+                self.src = fd;
+                Step::Syscall(SyscallReq::Bind {
+                    fd: self.src.unwrap(),
+                    port: 9000,
+                })
+            }
+            4 => {
+                self.out = fd;
+                Step::Syscall(SyscallReq::Connect {
+                    fd: self.out.unwrap(),
+                    addr: port(9001),
+                })
+            }
+            6 => {
+                self.tx = fd;
+                Step::Syscall(SyscallReq::Connect {
+                    fd: self.tx.unwrap(),
+                    addr: port(9000),
+                })
+            }
+            7 => Step::Syscall(SyscallReq::Sigaction {
+                sig: Sig::Io,
+                catch: true,
+            }),
+            8 => Step::Syscall(SyscallReq::Fcntl {
+                fd: self.src.unwrap(),
+                cmd: FcntlCmd::SetAsync(true),
+            }),
+            9 => Step::splice(SpliceReq::new(self.src.unwrap(), self.out.unwrap()).bytes(1 << 20)),
+            10 | 12 => Step::Syscall(SyscallReq::Send {
+                fd: self.tx.unwrap(),
+                data: vec![7; 1024],
+            }),
+            // The first datagram is written through before the second.
+            11 => Step::Compute(Dur::from_ms(20)),
+            13 => Step::Compute(self.close_after),
+            14 => Step::Syscall(SyscallReq::Close(self.src.unwrap())),
+            _ if ctx.got_signal(Sig::Io) => Step::Exit(0),
+            _ => Step::Syscall(SyscallReq::Pause),
+        }
+    }
+}
+
+/// Closing a splice's source socket is its EOF. A stream pull still
+/// queued at the close gets no bytes, and the splice completes only
+/// once that pull has released its slot: exactly once, with the bytes
+/// pulled before the close, all of them delivered. Debug builds assert
+/// at completion that no read or write is still in flight.
+#[test]
+fn closing_a_splice_source_with_a_pull_in_flight_completes_at_eof() {
+    let mut caught_in_flight = 0;
+    for step in 0..40u64 {
+        let mut k = KernelBuilder::new()
+            .tune(|c| c.machine.softwork_budget_per_tick = c.machine.splice_handler)
+            .build();
+        let sink = k.net_mut().socket(1);
+        k.net_mut().bind(sink, 9001).expect("port free");
+        let relay = k.spawn(Box::new(ClosingRelay {
+            close_after: Dur::from_us(200 * step),
+            st: 0,
+            src: None,
+            out: None,
+            tx: None,
+        }));
+        let horizon = k.horizon(60);
+        let exited = k.run_to_exit(horizon);
+        // Let the last datagram cross the loopback hop.
+        k.run_until(exited + Dur::from_ms(1), |_| false);
+        assert!(
+            matches!(k.procs().must(relay).state, ProcState::Exited(0)),
+            "close after {step}0 us: the relay never heard its splice complete"
+        );
+        let m = k.metrics().splice;
+        assert_eq!(m.completed, 1, "close after {step}0 us");
+        let span = m.spans.iter().next().expect("one splice span");
+        assert!(span.completed.is_some(), "close after {step}0 us");
+        assert!(span.bytes_moved >= 1024, "close after {step}0 us");
+        assert_eq!(
+            span.bytes_moved,
+            k.net().rcv_used(sink) as u64,
+            "close after {step}0 us: every pulled byte reached the sink"
+        );
+        // A pull released without a block is one that was in flight
+        // when the source closed.
+        if span.reads_issued > span.blocks_done {
+            caught_in_flight += 1;
+        }
+    }
+    assert!(
+        caught_in_flight > 0,
+        "no close landed with a pull in flight"
+    );
 }
