@@ -7,9 +7,7 @@
 //! Artifacts:
 //! * `BENCH_profile.json` — per-workload stage digests and profile
 //!   snapshots, plus the contention section.
-//! * `TS_<workload>.json` — the sampler's gauge time series (also
-//!   mirrored as counter tracks in `TRACE_*` exports when both are
-//!   enabled).
+//! * `TS_<workload>.json` — the sampler's gauge time series.
 
 use bench::{
     bench_doc, print_table, test_program, workloads, write_bench_json, write_table, DiskRow,

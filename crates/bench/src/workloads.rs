@@ -108,9 +108,8 @@ pub fn run(name: &str) -> Kernel {
 }
 
 /// [`run`] with the resource-accounting sampler enabled: gauge samples
-/// every `period`, up to `capacity` retained, mirrored into the
-/// trace's counter tracks. `run` itself never samples, so its trace
-/// output stays byte-identical to earlier revisions.
+/// every `period`, up to `capacity` retained. `run` itself never
+/// samples: a sampler's callouts add `callout.*` events to the trace.
 ///
 /// # Panics
 ///

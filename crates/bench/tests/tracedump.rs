@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use bench::workloads;
-use ksim::Json;
+use ksim::{Json, TraceEvent};
 
 /// Runs one workload and checks the exported Chrome JSON end to end:
 /// it re-parses, has events, and every (pid, tid) track is monotone.
@@ -72,8 +72,10 @@ fn check_workload(name: &str) -> splice::Kernel {
     k
 }
 
-/// Each kernel counter is bumped at the site that emits its tracepoint,
-/// so over a run with no ring loss the two must agree exactly.
+/// The kernel records each fact once, as an event, and folds the
+/// counters and splice spans from that same event, so over a run with
+/// no ring loss the counters, the span sums and the ring's events must
+/// agree exactly.
 fn check_counters_match_trace(name: &str, k: &splice::Kernel) {
     let trace = k.trace();
     assert_eq!(trace.dropped(), 0, "{name}: trace ring wrapped");
@@ -81,6 +83,17 @@ fn check_counters_match_trace(name: &str, k: &splice::Kernel) {
     let n = |event: &str| q.named(event).len() as u64;
     let m = k.metrics();
     let s = &m.splice;
+    let disk_bytes = |write: bool| -> u64 {
+        trace
+            .records()
+            .filter_map(|r| match r.ev {
+                TraceEvent::DiskIssue { len, write: w, .. } if w == write => Some(len as u64),
+                _ => None,
+            })
+            .sum()
+    };
+    let backoffs = s.read_backoffs + s.write_backoffs + s.append_backoffs + s.dev_backpressure;
+    let span_sum = |f: fn(&ksim::SpliceSpan) -> u64| s.spans.iter().map(f).sum::<u64>();
     let pairs = [
         ("splice.started", s.started, "splice.start"),
         ("splice.rejected", s.rejected, "splice.reject"),
@@ -88,9 +101,17 @@ fn check_counters_match_trace(name: &str, k: &splice::Kernel) {
         ("splice.aborted", s.aborted, "splice.abort"),
         (
             "splice backoffs (read + write + append + dev_backpressure)",
-            s.read_backoffs + s.write_backoffs + s.append_backoffs + s.dev_backpressure,
+            backoffs,
             "splice.backoff",
         ),
+        (
+            "splice.reads_issued + splice.read_hits",
+            s.reads_issued + s.read_hits,
+            "splice.read_issue",
+        ),
+        // The workloads inject no character-device write failure, the
+        // one `io.errors` cause without a `disk.error` event.
+        ("io.errors", m.io.errors, "disk.error"),
         ("sched.preemptions", m.sched.preemptions, "sched.preempt"),
         ("obs.alerts", m.obs.alerts, "slo.alert"),
         // `splice.complete` fires on every finish, aborted or not, while
@@ -104,6 +125,23 @@ fn check_counters_match_trace(name: &str, k: &splice::Kernel) {
     for (counter, value, event) in pairs {
         assert_eq!(value, n(event), "{name}: {counter} disagrees with {event}");
     }
+    assert_eq!(m.io.read_bytes, disk_bytes(false), "{name}: io.read_bytes");
+    assert_eq!(m.io.write_bytes, disk_bytes(true), "{name}: io.write_bytes");
+    assert_eq!(
+        span_sum(|sp| sp.reads_issued),
+        s.reads_issued,
+        "{name}: span reads_issued"
+    );
+    assert_eq!(
+        span_sum(|sp| sp.read_hits),
+        s.read_hits,
+        "{name}: span read_hits"
+    );
+    assert_eq!(
+        span_sum(|sp| sp.backoffs),
+        backoffs + s.retries,
+        "{name}: span backoffs vs the backoff totals plus retries"
+    );
 }
 
 #[test]

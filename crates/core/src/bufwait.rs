@@ -31,11 +31,10 @@ use std::collections::{HashMap, VecDeque};
 
 use kbuf::BufId;
 use kproc::WorkClass;
-use ksim::TraceEvent;
+use ksim::{BackoffKind, TraceEvent};
 
 use crate::event::KWork;
 use crate::kernel::Kernel;
-use crate::metrics::SpliceMetrics;
 
 /// What a parked splice waits for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,23 +115,17 @@ impl BufWaits {
 }
 
 impl Kernel {
-    /// Parks splice work on `chan` after a buffer contention: counts the
-    /// wait in the splice total that `counter` selects (one per
-    /// contention), traces it as a `SpliceBackoff`, and notes it on the
-    /// splice's span.
+    /// Parks splice work on `chan` after a buffer contention, noting one
+    /// `SpliceBackoff` of `kind` per contention.
     pub(crate) fn splice_wait(
         &mut self,
         chan: WaitChan,
         desc: u64,
         lblk: u64,
-        counter: fn(&mut SpliceMetrics) -> &mut u64,
+        kind: BackoffKind,
         work: KWork,
     ) {
-        *counter(&mut self.counts.splice) += 1;
-        let now = self.q.now();
-        self.trace
-            .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });
-        self.span_note(desc, |s, _, _, _| s.note_backoff());
+        self.note(TraceEvent::SpliceBackoff { desc, lblk, kind });
         self.buf_waits.park(chan, work);
     }
 

@@ -8,7 +8,7 @@
 //! remainder retries via the callout when space drains. The audio DAC's
 //! back-pressure is what rate-limits a whole-file audio splice.
 
-use ksim::TraceEvent;
+use ksim::{BackoffKind, TraceEvent};
 
 use crate::endpoint::Block;
 use crate::event::KWork;
@@ -87,10 +87,11 @@ impl Kernel {
             Some(at) => {
                 let delay = at.saturating_since(now);
                 let ticks = self.dur_to_ticks(delay);
-                self.counts.splice.dev_backpressure += 1;
-                self.trace
-                    .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });
-                self.span_note(desc, |s, _, _, _| s.note_backoff());
+                self.note(TraceEvent::SpliceBackoff {
+                    desc,
+                    lblk,
+                    kind: BackoffKind::DevPacing,
+                });
                 self.callout.schedule(
                     self.tick,
                     ticks,

@@ -16,7 +16,7 @@
 use kbuf::{BreadOutcome, SpliceRef};
 use kfs::Ino;
 use kproc::{Errno, WorkClass};
-use ksim::{Dur, TraceEvent};
+use ksim::{BackoffKind, Dur, TraceEvent};
 
 use crate::bufwait::WaitChan;
 use crate::endpoint::ReadPlan;
@@ -139,22 +139,23 @@ impl Kernel {
             }
         }
         let cpu = self.apply_cache_effects(fx, ctx) + m.buf_op;
-        let now = self.q.now();
         match out {
             BreadOutcome::Miss(_) => {
-                self.counts.splice.reads_issued += 1;
-                self.trace
-                    .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
-                self.span_note(id, |s, now, pr, pw| s.note_read_issued(now, pr, pw));
+                self.note(TraceEvent::SpliceReadIssue {
+                    desc: id,
+                    lblk,
+                    hit: false,
+                });
                 (cpu, true)
             }
             BreadOutcome::Hit(buf) => {
                 // Already cached: the handler runs straight away.
                 self.iodone_map.remove(&tag);
-                self.counts.splice.read_hits += 1;
-                self.trace
-                    .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
-                self.span_note(id, |s, now, pr, pw| s.note_read_hit(now, pr, pw));
+                self.note(TraceEvent::SpliceReadIssue {
+                    desc: id,
+                    lblk,
+                    hit: true,
+                });
                 self.enqueue_kwork(
                     WorkClass::Soft,
                     m.splice_handler,
@@ -185,7 +186,7 @@ impl Kernel {
                 } else {
                     KWork::SpliceIssueReads { desc: id }
                 };
-                self.splice_wait(chan, id, lblk, |s| &mut s.read_backoffs, work);
+                self.splice_wait(chan, id, lblk, BackoffKind::Read, work);
                 (cpu, false)
             }
         }
@@ -228,7 +229,7 @@ impl Kernel {
                     WaitChan::Buf(busy),
                     desc,
                     lblk,
-                    |s| &mut s.write_backoffs,
+                    BackoffKind::Write,
                     KWork::SpliceWrite {
                         desc,
                         lblk,
@@ -281,7 +282,7 @@ impl Kernel {
                 chan,
                 desc,
                 lblk,
-                |s| &mut s.append_backoffs,
+                BackoffKind::Append,
                 KWork::SpliceAppend {
                     desc,
                     lblk,

@@ -31,8 +31,7 @@ impl Kernel {
         match self.net.send(now, sock, payload.len()) {
             Ok(tx) => {
                 if let Some(dst) = tx.dst {
-                    self.trace
-                        .emit(now, || TraceEvent::NetSend { sock: sock.0, len });
+                    self.note(TraceEvent::NetSend { sock: sock.0, len });
                     let src_addr = self.net.source_addr(sock).expect("socket exists");
                     self.q.schedule(
                         tx.arrival.max(now),
@@ -47,14 +46,12 @@ impl Kernel {
                     );
                 } else {
                     // No peer bound: knet counted the drop.
-                    self.trace
-                        .emit(now, || TraceEvent::NetDrop { sock: sock.0, len });
+                    self.note(TraceEvent::NetDrop { sock: sock.0, len });
                 }
             }
             Err(_) => {
                 self.counts.splice.sock_send_errs += 1;
-                self.trace
-                    .emit(now, || TraceEvent::NetDrop { sock: sock.0, len });
+                self.note(TraceEvent::NetDrop { sock: sock.0, len });
             }
         }
     }

@@ -31,7 +31,7 @@ use ksim::{Callout, Dur, EventQueue, SimTime, Trace, TraceEvent};
 use crate::bufwait::WaitChan;
 use crate::event::{Event, KWork};
 use crate::objects::{CharDev, CharDevUnit, DiskUnit, DiskUnitKind, FileTable};
-use crate::splice_engine::{FlowControl, SpliceDesc};
+use crate::splice_engine::{retry_delay_ticks, FlowControl, SpliceDesc};
 use crate::syscalls::{AfterCpu, Cont, SyscallOutcome, WakeAction};
 
 /// Static kernel configuration.
@@ -337,6 +337,32 @@ impl Kernel {
         self.trace.dump()
     }
 
+    /// Records one kernel fact. The event is folded, in order, into the
+    /// typed counters, the stage histograms whose sample it carries, and
+    /// its descriptor's splice span (while the descriptor is live), and
+    /// then pushed to the trace ring, which drops it when tracing is
+    /// off. This is the kernel's only emission path.
+    pub(crate) fn note(&mut self, ev: TraceEvent) {
+        let now = self.q.now();
+        self.counts.apply(&ev);
+        match ev {
+            TraceEvent::RingSqeWait { wait_ns, .. } => self.kstat.stages.sqe_wait.record(wait_ns),
+            TraceEvent::SpliceRetry { attempt, .. } => self
+                .kstat
+                .stages
+                .retry_backoff
+                .record(retry_delay_ticks(attempt) * self.cfg.machine.tick().as_ns()),
+            _ => {}
+        }
+        if let Some(id) = ev.splice_desc() {
+            if let Some(d) = self.splices.get(&id) {
+                let (pr, pw) = (d.pending_reads, d.pending_writes);
+                self.kstat.spans.entry(id).apply(now, &ev, pr, pw);
+            }
+        }
+        self.trace.emit(now, ev);
+    }
+
     /// Replaces the observability pipeline with one built from `cfg`
     /// (the builder's [`observe`](crate::KernelBuilder::observe) path).
     pub(crate) fn install_obs(&mut self, cfg: ksim::ObsConfig) {
@@ -363,7 +389,7 @@ impl Kernel {
         let now = self.q.now();
         let out = self.obs.note_close(now, sock);
         if let Some(alert) = out.alert {
-            self.trace.emit(now, || TraceEvent::SloAlert {
+            self.note(TraceEvent::SloAlert {
                 burn_milli: alert.burn_milli,
                 window_viol: alert.window_viol,
                 window_req: alert.window_req,
@@ -379,14 +405,15 @@ impl Kernel {
     /// Timestamps and records the cache's accumulated hit/miss/evict
     /// events. The cache has no clock, so the kernel drains its log
     /// after each dispatched event; simulated time cannot advance inside
-    /// one event, so the stamp is exact.
+    /// one event, so the stamp is exact. The cache logs only while the
+    /// ring is on (`set_trace`), and no counter folds these events (the
+    /// cache keeps its own), so an off ring skips the drain.
     fn drain_cache_trace(&mut self) {
         if !self.trace.enabled() {
             return;
         }
-        let now = self.q.now();
         for e in self.cache.take_events() {
-            self.trace.emit(now, || match e {
+            self.note(match e {
                 kbuf::CacheEvent::Hit { dev, blkno } => TraceEvent::CacheHit { dev: dev.0, blkno },
                 kbuf::CacheEvent::Miss { dev, blkno } => {
                     TraceEvent::CacheMiss { dev: dev.0, blkno }
@@ -413,9 +440,7 @@ impl Kernel {
             return;
         }
         self.procs.set_state(pid, ProcState::Runnable);
-        let now = self.q.now();
-        self.trace
-            .emit(now, || TraceEvent::SchedWakeup { pid: pid.0 });
+        self.note(TraceEvent::SchedWakeup { pid: pid.0 });
         self.enter_runq(pid);
     }
 
@@ -465,9 +490,7 @@ impl Kernel {
         if !total.is_zero() {
             p.pending_compute = Some(total);
         }
-        self.counts.sched.preemptions += 1;
-        self.trace
-            .emit(now, || TraceEvent::SchedPreempt { pid: cur.pid.0 });
+        self.note(TraceEvent::SchedPreempt { pid: cur.pid.0 });
         self.yield_cpu(cur.pid);
     }
 
@@ -597,7 +620,7 @@ impl Kernel {
         let disk_idx = *self.devmap.get(&dev).expect("I/O to unknown device");
         let now = self.q.now();
         self.io_issued.insert(buf, now);
-        self.trace.emit(now, || TraceEvent::DiskIssue {
+        self.note(TraceEvent::DiskIssue {
             disk: disk_idx as u32,
             blkno,
             len: len as u32,
@@ -606,9 +629,6 @@ impl Kernel {
         let sector = blkno * (self.cfg.block_size as u64 / khw::SECTOR_SIZE as u64);
         if dir == IoDir::Write {
             self.disks[disk_idx].write_inflight += 1;
-            self.counts.io.write_bytes += len as u64;
-        } else {
-            self.counts.io.read_bytes += len as u64;
         }
         // Reads that enter service immediately (an idle SCSI drive, or the
         // synchronous RAM-disk strategy call) waited zero time in the
@@ -705,18 +725,15 @@ impl Kernel {
                 self.wakeup(Chan::new(ChanSpace::Fsync, disk_idx as u64));
             }
         }
-        let now = self.q.now();
         if error {
-            self.counts.io.errors += 1;
             let blkno = self.cache.identity(buf).map_or(0, |(_, b)| b);
-            self.trace.emit(now, || TraceEvent::DiskError {
+            self.note(TraceEvent::DiskError {
                 disk: disk_idx as u32,
                 blkno,
                 write: dir == IoDir::Write,
             });
         }
-        self.trace
-            .emit(now, || TraceEvent::CacheBiodone { buf: buf.0 });
+        self.note(TraceEvent::CacheBiodone { buf: buf.0 });
         let mut fx = Vec::new();
         let tag = self.cache.biodone(buf, error, &mut fx);
         let sync = self.apply_cache_effects(fx, IoCtx::Kernel);
@@ -775,7 +792,7 @@ impl Kernel {
     /// Starts a run chunk for `pid` and schedules its completion.
     fn start_chunk(&mut self, pid: Pid, kind: RunKind, dur: Dur, quantum_left: Dur) {
         let now = self.q.now();
-        self.trace.emit(now, || TraceEvent::SchedRun {
+        self.note(TraceEvent::SchedRun {
             pid: pid.0,
             ns: dur.as_ns(),
         });
@@ -963,8 +980,7 @@ impl Kernel {
                         self.run_process(pid, run.quantum_left);
                     }
                     AfterCpu::Sleep(chan) => {
-                        let now = self.q.now();
-                        self.trace.emit(now, || TraceEvent::SchedSleep {
+                        self.note(TraceEvent::SchedSleep {
                             pid: pid.0,
                             chan: chan.id,
                         });
@@ -1025,7 +1041,7 @@ impl Kernel {
         let mut due = std::mem::take(&mut self.callout_due);
         self.callout.expire_into(self.tick, &mut due);
         for work in due.drain(..) {
-            self.trace.emit(now, || TraceEvent::CalloutFire { tick });
+            self.note(TraceEvent::CalloutFire { tick });
             let cost = self.cfg.machine.callout_dispatch + self.kwork_base_cost(&work);
             self.enqueue_kwork(WorkClass::Soft, cost, work);
         }
@@ -1125,9 +1141,7 @@ impl Kernel {
                 if let Some(period) = self.cfg.update_interval {
                     let ticks = (period.as_ns() / self.cfg.machine.tick().as_ns()).max(1);
                     self.callout.schedule(self.tick, ticks, KWork::UpdateFlush);
-                    let now = self.q.now();
-                    self.trace
-                        .emit(now, || TraceEvent::CalloutArm { delay_ticks: ticks });
+                    self.note(TraceEvent::CalloutArm { delay_ticks: ticks });
                 }
             }
             KWork::ItimerFire { pid } => {
@@ -1140,9 +1154,7 @@ impl Kernel {
                         .callout
                         .schedule(self.tick, ticks, KWork::ItimerFire { pid });
                     self.itimer_callouts.insert(pid, id);
-                    let now = self.q.now();
-                    self.trace
-                        .emit(now, || TraceEvent::CalloutArm { delay_ticks: ticks });
+                    self.note(TraceEvent::CalloutArm { delay_ticks: ticks });
                 }
             }
             KWork::Sample => self.on_sample(),
@@ -1177,7 +1189,7 @@ impl Kernel {
             Event::Tick => self.on_tick(),
             Event::DiskIntr { disk, token } => {
                 let now = self.q.now();
-                self.trace.emit(now, || TraceEvent::DiskIntr {
+                self.note(TraceEvent::DiskIntr {
                     disk: disk as u32,
                     token,
                 });
@@ -1254,9 +1266,7 @@ impl Kernel {
                     .sched
                     .take_next(&self.procs)
                     .expect("context switch with an empty run queue");
-                let now = self.q.now();
-                self.trace
-                    .emit(now, || TraceEvent::SchedDispatch { pid: pid.0 });
+                self.note(TraceEvent::SchedDispatch { pid: pid.0 });
                 self.procs.set_state(pid, ProcState::Running);
                 self.run_process(pid, self.sched.quantum());
             }

@@ -2,11 +2,16 @@
 //!
 //! Each counter has one typed home. Counters the kernel keeps itself
 //! live in a crate-private `Counts` block built from these same
-//! section types (`self.counts.copy.copyout_bytes += n`); the buffer
-//! cache, CPU engine and network stack keep theirs in their own `Copy`
-//! stats structs. [`Kernel::metrics`] copies all of them, plus the
-//! structured [`ksim::Kstat`] block (splice spans, latency histograms),
-//! into one typed, self-describing snapshot:
+//! section types. Most are folds of the kernel's event stream: a site
+//! records a fact once, as a [`ksim::TraceEvent`], and the counters,
+//! the splice spans and the trace ring all derive from it, so they
+//! agree whether or not tracing is on. Counters with no tracepoint of
+//! their own, such as copy bytes, are bumped at their site
+//! (`self.counts.copy.copyout_bytes += n`); DESIGN.md §7 lists which is
+//! which. The buffer cache, CPU engine and network stack keep theirs in
+//! their own `Copy` stats structs. [`Kernel::metrics`] copies all of
+//! them, plus the structured [`ksim::Kstat`] block (splice spans,
+//! latency histograms), into one typed, self-describing snapshot:
 //!
 //! ```
 //! use khw::DiskProfile;
@@ -34,7 +39,7 @@
 
 use std::ops::Index;
 
-use ksim::{HistSummary, Json, SimTime, SpliceSpan, SpliceSpans};
+use ksim::{BackoffKind, HistSummary, Json, SimTime, SpliceSpan, SpliceSpans, TraceEvent};
 
 use crate::kernel::Kernel;
 
@@ -65,7 +70,9 @@ pub struct IoMetrics {
     pub write_bytes: u64,
     /// Sequential read-aheads triggered by `read(2)`.
     pub readaheads: u64,
-    /// Block transfers that completed with `B_ERROR` (injected faults).
+    /// Failed transfers: block transfers that completed with `B_ERROR`,
+    /// plus injected character-device write failures (both come from
+    /// fault injection).
     pub errors: u64,
 }
 
@@ -277,9 +284,11 @@ pub struct MetricsSnapshot {
 }
 
 /// The counters the kernel keeps itself, each in the snapshot section
-/// that reports it. Call sites bump a field directly
-/// (`self.counts.copy.copyout_bytes += n`); [`Kernel::metrics`] copies
-/// the sections out.
+/// that reports it. Counters with a tracepoint of their own are folds of
+/// the event stream ([`Counts::apply`]); the rest (copy bytes, context
+/// switches, drops that share a `net.drop` event with other causes, …)
+/// are bumped at their site (`self.counts.copy.copyout_bytes += n`).
+/// [`Kernel::metrics`] copies the sections out.
 #[derive(Debug, Default)]
 pub(crate) struct Counts {
     pub(crate) copy: CopyMetrics,
@@ -297,6 +306,38 @@ pub(crate) struct Counts {
     pub(crate) update_flushes: u64,
     /// Harness cold-cache flushes.
     pub(crate) cold_caches: u64,
+}
+
+impl Counts {
+    /// Folds one kernel event into the counters it stands for.
+    pub(crate) fn apply(&mut self, ev: &TraceEvent) {
+        let s = &mut self.splice;
+        match *ev {
+            TraceEvent::SpliceStart { .. } => s.started += 1,
+            TraceEvent::SpliceReject { .. } => s.rejected += 1,
+            TraceEvent::SpliceReadIssue { hit: false, .. } => s.reads_issued += 1,
+            TraceEvent::SpliceReadIssue { hit: true, .. } => s.read_hits += 1,
+            TraceEvent::SpliceBackoff { kind, .. } => match kind {
+                BackoffKind::Read => s.read_backoffs += 1,
+                BackoffKind::Write => s.write_backoffs += 1,
+                BackoffKind::Append => s.append_backoffs += 1,
+                BackoffKind::DevPacing => s.dev_backpressure += 1,
+            },
+            TraceEvent::SpliceRetry { .. } => s.retries += 1,
+            TraceEvent::SpliceAbort { .. } => s.aborted += 1,
+            TraceEvent::SpliceComplete { ok, .. } => s.completed += ok as u64,
+            TraceEvent::SchedPreempt { .. } => self.sched.preemptions += 1,
+            TraceEvent::DiskIssue { len, write, .. } => {
+                if write {
+                    self.io.write_bytes += len as u64;
+                } else {
+                    self.io.read_bytes += len as u64;
+                }
+            }
+            TraceEvent::DiskError { .. } => self.io.errors += 1,
+            _ => {}
+        }
+    }
 }
 
 impl MetricsSnapshot {

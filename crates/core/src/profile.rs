@@ -15,9 +15,9 @@
 //!   callout-driven gauge recorder: every period it snapshots inflight
 //!   splice work, disk queue depths, cache occupancy, and each
 //!   process's CPU share over the elapsed interval into a bounded ring
-//!   of [`ProfileSample`]s, and mirrors every gauge into the trace's
-//!   counter tracks so Chrome/Perfetto render them as time series
-//!   alongside the event timeline.
+//!   of [`ProfileSample`]s (read back through
+//!   [`Kernel::samples`](crate::Kernel::samples) and written as
+//!   `TS_*.json`).
 //!
 //! Sampling runs through the same callout + kernel-work machinery as
 //! everything else (one [`KWork::Sample`] per period, softclock class),
@@ -27,7 +27,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use ksim::{CounterId, Dur, HistSummary, Json, SimTime, StageHists, Trace, TraceEvent};
+use ksim::{Dur, HistSummary, Json, SimTime, StageHists, TraceEvent};
 
 use crate::event::KWork;
 use crate::kernel::Kernel;
@@ -252,39 +252,6 @@ impl ProfileSample {
     }
 }
 
-/// Interned counter-track handles, registered on the first sample (so a
-/// run that never samples registers nothing and trace bytes are
-/// untouched). Steady-state recording is then allocation-free: no
-/// `format!` per gauge per sample, no name scans.
-#[derive(Debug)]
-pub(crate) struct SamplerSeries {
-    inflight_reads: CounterId,
-    inflight_writes: CounterId,
-    /// One series per disk, in disk-index order.
-    disk_queues: Vec<CounterId>,
-    cache_resident: CounterId,
-    cache_dirty: CounterId,
-    /// Per-PID `pid{pid}.cpu_share` series, interned when the pid is
-    /// first sampled (pid-order iteration keeps registration, and thus
-    /// Chrome track numbering, deterministic).
-    pid_shares: HashMap<u32, CounterId>,
-}
-
-impl SamplerSeries {
-    fn register(trace: &mut Trace, ndisks: usize) -> Self {
-        SamplerSeries {
-            inflight_reads: trace.counter_id("splice.inflight_reads"),
-            inflight_writes: trace.counter_id("splice.inflight_writes"),
-            disk_queues: (0..ndisks)
-                .map(|i| trace.counter_id(&format!("disk{i}.queue")))
-                .collect(),
-            cache_resident: trace.counter_id("cache.resident"),
-            cache_dirty: trace.counter_id("cache.dirty"),
-            pid_shares: HashMap::new(),
-        }
-    }
-}
-
 /// The callout-driven gauge recorder (see the module docs). Owned by
 /// the kernel when sampling is enabled.
 #[derive(Debug)]
@@ -301,8 +268,6 @@ pub(crate) struct Sampler {
     pub(crate) last_at: SimTime,
     /// Samples dropped at capacity.
     pub(crate) dropped: u64,
-    /// Interned counter handles, populated on the first firing.
-    pub(crate) series: Option<SamplerSeries>,
 }
 
 impl Kernel {
@@ -311,7 +276,6 @@ impl Kernel {
     pub(crate) fn install_sampler(&mut self, period: Dur, capacity: usize) {
         assert!(capacity > 0, "sampler capacity must be positive");
         assert!(!period.is_zero(), "sampler period must be positive");
-        self.trace.set_counter_capacity(capacity);
         self.sampler = Some(Sampler {
             period,
             capacity,
@@ -319,17 +283,13 @@ impl Kernel {
             last_cpu: HashMap::new(),
             last_at: self.q.now(),
             dropped: 0,
-            series: None,
         });
         let ticks = self.dur_to_ticks(period);
         self.callout.schedule(self.tick, ticks, KWork::Sample);
-        let now = self.q.now();
-        self.trace
-            .emit(now, || TraceEvent::CalloutArm { delay_ticks: ticks });
+        self.note(TraceEvent::CalloutArm { delay_ticks: ticks });
     }
 
-    /// One sampler firing: record every gauge, mirror them into the
-    /// trace's counter tracks, and re-arm.
+    /// One sampler firing: record every gauge and re-arm.
     pub(crate) fn on_sample(&mut self) {
         let Some(mut s) = self.sampler.take() else {
             return; // sampling was never enabled; stale work
@@ -364,37 +324,6 @@ impl Kernel {
         }
         s.last_at = now;
 
-        // Intern the series handles on the first firing (matching the
-        // creation order the by-name path used), then record through
-        // them: the steady-state sample costs no allocation and no name
-        // scans. Only a newly appeared pid interns a new series.
-        let series = s
-            .series
-            .get_or_insert_with(|| SamplerSeries::register(&mut self.trace, disk_queues.len()));
-        self.trace
-            .record_counter_id(now, series.inflight_reads, inflight_reads as f64);
-        self.trace
-            .record_counter_id(now, series.inflight_writes, inflight_writes as f64);
-        for (i, q) in disk_queues.iter().enumerate() {
-            self.trace
-                .record_counter_id(now, series.disk_queues[i], *q as f64);
-        }
-        self.trace
-            .record_counter_id(now, series.cache_resident, cache_resident as f64);
-        self.trace
-            .record_counter_id(now, series.cache_dirty, cache_dirty as f64);
-        for (pid, frac) in &cpu_share {
-            let id = match series.pid_shares.get(pid) {
-                Some(&id) => id,
-                None => {
-                    let id = self.trace.counter_id(&format!("pid{pid}.cpu_share"));
-                    series.pid_shares.insert(*pid, id);
-                    id
-                }
-            };
-            self.trace.record_counter_id(now, id, *frac);
-        }
-
         if s.samples.len() == s.capacity {
             s.samples.pop_front();
             s.dropped += 1;
@@ -411,8 +340,7 @@ impl Kernel {
 
         let ticks = self.dur_to_ticks(s.period);
         self.callout.schedule(self.tick, ticks, KWork::Sample);
-        self.trace
-            .emit(now, || TraceEvent::CalloutArm { delay_ticks: ticks });
+        self.note(TraceEvent::CalloutArm { delay_ticks: ticks });
         self.sampler = Some(s);
     }
 

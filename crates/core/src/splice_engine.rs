@@ -336,10 +336,7 @@ impl Kernel {
                 ..route
             },
         );
-        self.counts.splice.started += 1;
-        let now = self.q.now();
-        self.kstat.spans.start(id, now);
-        self.trace.emit(now, || TraceEvent::SpliceStart {
+        self.note(TraceEvent::SpliceStart {
             desc: id,
             bytes: total,
         });
@@ -407,9 +404,7 @@ impl Kernel {
     /// return (`splice(2)`, ring syscalls) or an error CQE (per-entry
     /// ring submission failures). Returns the errno for convenience.
     pub(crate) fn splice_reject_note(&mut self, e: Errno) -> Errno {
-        self.counts.splice.rejected += 1;
-        let now = self.q.now();
-        self.trace.emit(now, || TraceEvent::SpliceReject {
+        self.note(TraceEvent::SpliceReject {
             errno: errno_name(e),
         });
         e
@@ -461,24 +456,6 @@ impl Kernel {
     }
 
     // ----- read issuing (§5.2.1 + §5.2.3) --------------------------------------
-
-    /// Runs a span-note closure for descriptor `desc`, handing it the
-    /// current time and the descriptor's pending-work gauges. A no-op for
-    /// descriptors that are already gone (teardown races).
-    pub(crate) fn span_note(
-        &mut self,
-        desc: u64,
-        f: impl FnOnce(&mut ksim::SpliceSpan, ksim::SimTime, u32, u32),
-    ) {
-        let Some(d) = self.splices.get(&desc) else {
-            return;
-        };
-        let (pr, pw) = (d.pending_reads, d.pending_writes);
-        let now = self.q.now();
-        if let Some(span) = self.kstat.spans.get_mut(desc) {
-            f(span, now, pr, pw);
-        }
-    }
 
     /// Issues source work — block reads or stream pulls — up to the batch
     /// limit. Returns CPU cost incurred in the caller's context (setup
@@ -540,10 +517,11 @@ impl Kernel {
                     d.next_read += 1;
                     d.pending_reads += 1;
                     d.flight(lblk).issued = Some(now);
-                    self.counts.splice.reads_issued += 1;
-                    self.trace
-                        .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
-                    self.span_note(id, |s, now, pr, pw| s.note_read_issued(now, pr, pw));
+                    self.note(TraceEvent::SpliceReadIssue {
+                        desc: id,
+                        lblk,
+                        hit: false,
+                    });
                     self.enqueue_kwork(
                         WorkClass::Soft,
                         cost,
@@ -701,8 +679,9 @@ impl Kernel {
         if let Block::Buf(buf) = &block {
             f.buf = Some(*buf);
         }
-        self.trace
-            .emit(now, || TraceEvent::SpliceReadDone { desc, lblk });
+        // Also the moment this block's write is scheduled on the sink:
+        // the span counts it from this event.
+        self.note(TraceEvent::SpliceReadDone { desc, lblk });
         let d = self.splices.get_mut(&desc).unwrap();
         let len = match &block {
             Block::Bytes(b) => b.len(),
@@ -722,8 +701,7 @@ impl Kernel {
                         src_buf: buf,
                     },
                 );
-                self.trace
-                    .emit(now, || TraceEvent::CalloutArm { delay_ticks: 0 });
+                self.note(TraceEvent::CalloutArm { delay_ticks: 0 });
             }
             (DstEndpoint::File { .. }, Block::Bytes(data)) => {
                 // Byte streams append; the cursor advances at dispatch
@@ -767,7 +745,6 @@ impl Kernel {
                 );
             }
         }
-        self.span_note(desc, |s, now, pr, pw| s.note_write_issued(now, pr, pw));
     }
 
     /// A sink backend is issuing block `lblk`'s write: traces
@@ -779,8 +756,7 @@ impl Kernel {
     /// completed.
     pub(crate) fn splice_write_issue(&mut self, desc: u64, lblk: u64) {
         let now = self.q.now();
-        self.trace
-            .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
+        self.note(TraceEvent::SpliceWriteIssue { desc, lblk });
         let Some(d) = self.splices.get_mut(&desc) else {
             return;
         };
@@ -824,21 +800,15 @@ impl Kernel {
             && !finished
             && d.pending_reads < flow.lo_reads
             && d.pending_writes < flow.lo_writes;
-        let (pr, pw) = (d.pending_reads, d.pending_writes);
         let now = self.q.now();
-        self.trace
-            .emit(now, || TraceEvent::SpliceWriteDone { desc, lblk });
+        self.note(TraceEvent::SpliceWriteDone {
+            desc,
+            lblk,
+            bytes,
+            drained: finished,
+        });
         if refill {
-            self.trace.emit(now, || TraceEvent::SpliceRefill { desc });
-        }
-        if let Some(span) = self.kstat.spans.get_mut(desc) {
-            span.note_block_done(bytes, pr, pw);
-            if finished {
-                span.note_drained(now);
-            }
-            if refill {
-                span.note_refill();
-            }
+            self.note(TraceEvent::SpliceRefill { desc });
         }
         if let Some(at) = flight.write_issued {
             self.kstat
@@ -869,7 +839,6 @@ impl Kernel {
     /// backoff retry callout or aborts the splice with `EIO`. A block
     /// awaiting its retry keeps its record without an issue instant.
     fn splice_read_failed(&mut self, desc: u64, lblk: u64) {
-        let now = self.q.now();
         let Some(d) = self.splices.get_mut(&desc) else {
             return;
         };
@@ -889,23 +858,15 @@ impl Kernel {
             self.splice_abort(desc, Errno::Eio);
             return;
         }
-        self.counts.splice.retries += 1;
-        self.trace.emit(now, || TraceEvent::SpliceRetry {
+        self.note(TraceEvent::SpliceRetry {
             desc,
             lblk,
             attempt,
         });
-        self.span_note(desc, |s, _, _, _| s.note_backoff());
-        // Exponential backoff: 1, 2, 4, 8, 16 ticks.
-        let delay = 1u64 << (attempt - 1);
-        self.kstat
-            .stages
-            .retry_backoff
-            .record(delay * self.cfg.machine.tick().as_ns());
+        let delay = retry_delay_ticks(attempt);
         self.callout
             .schedule(self.tick, delay, KWork::SpliceRetryRead { desc, lblk });
-        self.trace
-            .emit(now, || TraceEvent::CalloutArm { delay_ticks: delay });
+        self.note(TraceEvent::CalloutArm { delay_ticks: delay });
     }
 
     /// Backoff expiry: re-issue one failed mapped-source read. The read
@@ -933,7 +894,6 @@ impl Kernel {
     /// are idempotent (a torn write is overwritten wholesale on the next
     /// attempt), so a retry re-runs just the write side of this block.
     pub(crate) fn splice_write_failed(&mut self, desc: u64, lblk: u64) {
-        let now = self.q.now();
         let Some(d) = self.splices.get_mut(&desc) else {
             return;
         };
@@ -964,18 +924,12 @@ impl Kernel {
             self.end_flight(desc, lblk);
             return;
         };
-        self.counts.splice.retries += 1;
-        self.trace.emit(now, || TraceEvent::SpliceRetry {
+        self.note(TraceEvent::SpliceRetry {
             desc,
             lblk,
             attempt,
         });
-        self.span_note(desc, |s, _, _, _| s.note_backoff());
-        let delay = 1u64 << (attempt - 1);
-        self.kstat
-            .stages
-            .retry_backoff
-            .record(delay * self.cfg.machine.tick().as_ns());
+        let delay = retry_delay_ticks(attempt);
         self.callout.schedule(
             self.tick,
             delay,
@@ -985,8 +939,7 @@ impl Kernel {
                 src_buf,
             },
         );
-        self.trace
-            .emit(now, || TraceEvent::CalloutArm { delay_ticks: delay });
+        self.note(TraceEvent::CalloutArm { delay_ticks: delay });
     }
 
     /// Abort-drain check for write-side handlers: if the splice is
@@ -1021,9 +974,7 @@ impl Kernel {
             return;
         }
         d.error = Some(e);
-        self.counts.splice.aborted += 1;
-        let now = self.q.now();
-        self.trace.emit(now, || TraceEvent::SpliceAbort {
+        self.note(TraceEvent::SpliceAbort {
             desc,
             errno: errno_name(e),
         });
@@ -1139,17 +1090,20 @@ impl Kernel {
         if let SrcEndpoint::Sock { sock } = src {
             self.rings.unbind_sock(sock);
         }
-        if outcome.error.is_none() {
-            self.counts.splice.completed += 1;
-        }
-        if let Some(span) = self.kstat.spans.get_mut(desc) {
-            span.note_completed(now);
-        }
-        self.trace.emit(now, || TraceEvent::SpliceComplete { desc });
+        self.note(TraceEvent::SpliceComplete {
+            desc,
+            ok: outcome.error.is_none(),
+        });
         self.splices.remove(&desc);
         self.purge_waits(desc);
         self.ring_deliver(desc, outcome);
     }
+}
+
+/// Exponential retry backoff, in ticks, before attempt `attempt` (1 = the
+/// first retry): 1, 2, 4, 8, 16, …
+pub(crate) fn retry_delay_ticks(attempt: u32) -> u64 {
+    1u64 << (attempt - 1)
 }
 
 /// Canonical errno spelling for trace records and reports.

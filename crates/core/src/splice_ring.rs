@@ -267,7 +267,6 @@ impl Kernel {
         }
         let accepted = sqes.len().min(room);
         let mut cpu = m.syscall;
-        let now = self.q.now();
         for sqe in sqes.into_iter().take(accepted) {
             cpu += m.ring_submit_entry;
             // SQE admission wait: the simulated clock does not advance
@@ -277,9 +276,7 @@ impl Kernel {
             // additionally wait behind every earlier entry's admission
             // and launch work.
             let wait_ns = cpu.as_ns();
-            self.kstat.stages.sqe_wait.record(wait_ns);
-            self.trace
-                .emit(now, || TraceEvent::RingSqeWait { ring, wait_ns });
+            self.note(TraceEvent::RingSqeWait { ring, wait_ns });
             let route = RingRoute {
                 ring,
                 user_data: Some(sqe.user_data),
@@ -336,7 +333,7 @@ impl Kernel {
                 }
             }
         }
-        self.trace.emit(now, || TraceEvent::RingSubmit {
+        self.note(TraceEvent::RingSubmit {
             ring,
             entries: accepted as u32,
         });
@@ -386,8 +383,7 @@ impl Kernel {
         }
         let cqes: Vec<SpliceCqe> = r.cq.drain(..).collect();
         let n = cqes.len();
-        let now = self.q.now();
-        self.trace.emit(now, || TraceEvent::RingReap {
+        self.note(TraceEvent::RingReap {
             ring,
             entries: n as u32,
         });

@@ -1052,7 +1052,7 @@ impl Kernel {
                 // accepted bytes land on the staged request span.
                 self.obs.note_transfer(sock.0, len as u64, None);
                 if let Some(dst) = tx.dst {
-                    self.trace.emit(now, || TraceEvent::NetSend {
+                    self.note(TraceEvent::NetSend {
                         sock: sock.0,
                         len: len as u32,
                     });
@@ -1069,7 +1069,7 @@ impl Kernel {
                         },
                     );
                 } else {
-                    self.trace.emit(now, || TraceEvent::NetDrop {
+                    self.note(TraceEvent::NetDrop {
                         sock: sock.0,
                         len: len as u32,
                     });
@@ -1170,25 +1170,21 @@ impl Kernel {
     /// Bottom half of datagram arrival: enqueue into the socket, then
     /// either feed a socket-sourced splice or wake sleeping receivers.
     pub(crate) fn net_rx(&mut self, dst: SockId, dgram: Datagram) {
-        let now = self.q.now();
         let len = dgram.data.len() as u32;
         match self.net.deliver(dst, dgram) {
             knet::DeliverOutcome::Queued { sock } => {
-                self.trace
-                    .emit(now, || TraceEvent::NetDeliver { sock: sock.0, len });
+                self.note(TraceEvent::NetDeliver { sock: sock.0, len });
                 if !self.splice_sock_feed(sock) {
                     self.wakeup(Chan::new(ChanSpace::SockRecv, sock.0 as u64));
                 }
             }
             knet::DeliverOutcome::NewConn { sock } => {
-                self.trace
-                    .emit(now, || TraceEvent::NetDeliver { sock: sock.0, len });
+                self.note(TraceEvent::NetDeliver { sock: sock.0, len });
                 self.wakeup(Chan::new(ChanSpace::Accept, dst.0 as u64));
             }
             knet::DeliverOutcome::Dropped { .. } => {
                 self.counts.rx_dropped += 1;
-                self.trace
-                    .emit(now, || TraceEvent::NetDrop { sock: dst.0, len });
+                self.note(TraceEvent::NetDrop { sock: dst.0, len });
             }
         }
     }

@@ -556,7 +556,7 @@ fn aborted_waiter_does_not_strand_the_queue_behind_it() {
         let done = q
             .named("splice.complete")
             .into_iter()
-            .find(|r| matches!(r.ev, TraceEvent::SpliceComplete { desc: d } if d == desc))
+            .find(|r| matches!(r.ev, TraceEvent::SpliceComplete { desc: d, .. } if d == desc))
             .expect("queued splice completed")
             .seq;
         assert!(done > abort, "splice {desc} finished before the abort");

@@ -11,9 +11,12 @@
 //! shape into:
 //!
 //! * [`SpliceSpan`] — one per splice descriptor: lifecycle timestamps
-//!   (created → first read issued → first write issued → drained →
+//!   (created → first read issued → first write scheduled → drained →
 //!   completion delivered), cumulative counters, and the high-water
-//!   gauges of pending reads and writes.
+//!   gauges of pending reads and writes. A span is a fold of its
+//!   descriptor's [`TraceEvent`]s ([`SpliceSpan::apply`]): the kernel
+//!   records each splice fact once, as an event, and the span, the
+//!   counters and the trace ring all derive from it.
 //! * [`SpliceSpans`] — the per-kernel collection, indexable by splice
 //!   descriptor id (`kstat.spans[desc]`).
 //! * [`Kstat`] — the kernel-owned holder combining the spans with
@@ -27,6 +30,7 @@ use std::sync::Arc;
 use crate::hist::Hist;
 use crate::json::Json;
 use crate::time::SimTime;
+use crate::trace::TraceEvent;
 
 /// Lifecycle and flow-control record for one splice descriptor.
 ///
@@ -68,8 +72,8 @@ pub struct SpliceSpan {
     pub bytes_moved: u64,
     /// Refill bursts: times the watermark logic restarted the read side.
     pub refill_bursts: u64,
-    /// Backoffs: times issue was deferred by flow control or resource
-    /// exhaustion (read-side watermark holds, write backpressure).
+    /// Backoffs: buffer waits (read, write and append side), device-sink
+    /// pacing stalls, and retries after a device error.
     pub backoffs: u64,
 
     /// High-water mark of reads outstanding.
@@ -79,60 +83,53 @@ pub struct SpliceSpan {
 }
 
 impl SpliceSpan {
-    fn new(id: u64, now: SimTime) -> SpliceSpan {
-        SpliceSpan {
-            id,
-            created: Some(now),
-            ..SpliceSpan::default()
+    /// Folds one event of this span's descriptor into it.
+    /// `pending_reads`/`pending_writes` are the descriptor's gauges at
+    /// the instant of the event; they feed the high-water marks of the
+    /// events that move them. Events that carry no span fact (write
+    /// issue, abort) change nothing.
+    pub fn apply(
+        &mut self,
+        now: SimTime,
+        ev: &TraceEvent,
+        pending_reads: u32,
+        pending_writes: u32,
+    ) {
+        match *ev {
+            TraceEvent::SpliceStart { .. } => {
+                self.created.get_or_insert(now);
+            }
+            TraceEvent::SpliceReadIssue { hit, .. } => {
+                self.first_read.get_or_insert(now);
+                if hit {
+                    self.read_hits += 1;
+                } else {
+                    self.reads_issued += 1;
+                }
+                self.observe(pending_reads, pending_writes);
+            }
+            // An arrived block's write is scheduled on the sink at the
+            // instant its read is done.
+            TraceEvent::SpliceReadDone { .. } => {
+                self.first_write.get_or_insert(now);
+                self.writes_issued += 1;
+                self.observe(pending_reads, pending_writes);
+            }
+            TraceEvent::SpliceWriteDone { bytes, drained, .. } => {
+                self.blocks_done += 1;
+                self.bytes_moved += bytes;
+                self.observe(pending_reads, pending_writes);
+                if drained {
+                    self.drained.get_or_insert(now);
+                }
+            }
+            TraceEvent::SpliceRefill { .. } => self.refill_bursts += 1,
+            TraceEvent::SpliceBackoff { .. } | TraceEvent::SpliceRetry { .. } => self.backoffs += 1,
+            TraceEvent::SpliceComplete { .. } => {
+                self.completed.get_or_insert(now);
+            }
+            _ => {}
         }
-    }
-
-    /// Records a device read issue.
-    pub fn note_read_issued(&mut self, now: SimTime, pending_reads: u32, pending_writes: u32) {
-        self.first_read.get_or_insert(now);
-        self.reads_issued += 1;
-        self.observe(pending_reads, pending_writes);
-    }
-
-    /// Records a read satisfied from the buffer cache.
-    pub fn note_read_hit(&mut self, now: SimTime, pending_reads: u32, pending_writes: u32) {
-        self.first_read.get_or_insert(now);
-        self.read_hits += 1;
-        self.observe(pending_reads, pending_writes);
-    }
-
-    /// Records a block's write being scheduled for the sink.
-    pub fn note_write_issued(&mut self, now: SimTime, pending_reads: u32, pending_writes: u32) {
-        self.first_write.get_or_insert(now);
-        self.writes_issued += 1;
-        self.observe(pending_reads, pending_writes);
-    }
-
-    /// Records a fully completed block (or pump chunk) of `bytes`.
-    pub fn note_block_done(&mut self, bytes: u64, pending_reads: u32, pending_writes: u32) {
-        self.blocks_done += 1;
-        self.bytes_moved += bytes;
-        self.observe(pending_reads, pending_writes);
-    }
-
-    /// Records a watermark-triggered read-side refill burst.
-    pub fn note_refill(&mut self) {
-        self.refill_bursts += 1;
-    }
-
-    /// Records a flow-control or backpressure deferral.
-    pub fn note_backoff(&mut self) {
-        self.backoffs += 1;
-    }
-
-    /// Marks the transfer drained (all data moved).
-    pub fn note_drained(&mut self, now: SimTime) {
-        self.drained.get_or_insert(now);
-    }
-
-    /// Marks completion delivery (SIGIO posted / sleeper woken).
-    pub fn note_completed(&mut self, now: SimTime) {
-        self.completed.get_or_insert(now);
     }
 
     fn observe(&mut self, pending_reads: u32, pending_writes: u32) {
@@ -148,8 +145,8 @@ impl SpliceSpan {
 ///
 /// The map sits behind an [`Arc`], so a clone (every
 /// `Kernel::metrics` snapshot takes one) is O(1) and shares the
-/// history instead of copying it. The two mutators copy on write only
-/// while a clone is still alive.
+/// history instead of copying it. [`SpliceSpans::entry`] copies on
+/// write only while a clone is still alive.
 #[derive(Clone, Debug, Default)]
 pub struct SpliceSpans {
     spans: Arc<BTreeMap<u64, SpliceSpan>>,
@@ -161,19 +158,15 @@ impl SpliceSpans {
         SpliceSpans::default()
     }
 
-    /// Starts a span for descriptor `id` at `now`. Replaces any stale
-    /// span under the same id (descriptor ids are never reused by the
-    /// splice engine, so this only matters for defensive callers).
-    pub fn start(&mut self, id: u64, now: SimTime) -> &mut SpliceSpan {
+    /// The span of descriptor `id`, created empty on first use (its
+    /// `SpliceStart` event then sets `created`).
+    pub fn entry(&mut self, id: u64) -> &mut SpliceSpan {
         Arc::make_mut(&mut self.spans)
             .entry(id)
-            .or_insert_with(|| SpliceSpan::new(id, now))
-    }
-
-    /// Mutable access for the instrumentation sites; `None` for ids
-    /// that never started a span.
-    pub fn get_mut(&mut self, id: u64) -> Option<&mut SpliceSpan> {
-        Arc::make_mut(&mut self.spans).get_mut(&id)
+            .or_insert_with(|| SpliceSpan {
+                id,
+                ..SpliceSpan::default()
+            })
     }
 
     /// Shared access by id.
@@ -370,13 +363,24 @@ mod tests {
     #[test]
     fn span_lifecycle_orders_timestamps() {
         let mut spans = SpliceSpans::new();
-        spans.start(1, t(10));
-        let s = spans.get_mut(1).unwrap();
-        s.note_read_issued(t(11), 1, 0);
-        s.note_write_issued(t(12), 0, 1);
-        s.note_block_done(4096, 0, 0);
-        s.note_drained(t(13));
-        s.note_completed(t(14));
+        let (desc, lblk) = (1, 0);
+        let span = spans.entry(desc);
+        span.apply(t(10), &TraceEvent::SpliceStart { desc, bytes: 4096 }, 0, 0);
+        let issue = TraceEvent::SpliceReadIssue {
+            desc,
+            lblk,
+            hit: false,
+        };
+        span.apply(t(11), &issue, 1, 0);
+        span.apply(t(12), &TraceEvent::SpliceReadDone { desc, lblk }, 0, 1);
+        let done = TraceEvent::SpliceWriteDone {
+            desc,
+            lblk,
+            bytes: 4096,
+            drained: true,
+        };
+        span.apply(t(13), &done, 0, 0);
+        span.apply(t(14), &TraceEvent::SpliceComplete { desc, ok: true }, 0, 0);
 
         let s = &spans[1];
         assert_eq!(s.created, Some(t(10)));
@@ -391,10 +395,18 @@ mod tests {
     #[test]
     fn first_timestamps_are_sticky() {
         let mut spans = SpliceSpans::new();
-        spans.start(7, t(1));
-        let s = spans.get_mut(7).unwrap();
-        s.note_read_issued(t(2), 1, 0);
-        s.note_read_issued(t(5), 2, 0);
+        let desc = 7;
+        let span = spans.entry(desc);
+        span.apply(t(1), &TraceEvent::SpliceStart { desc, bytes: 1 }, 0, 0);
+        for (lblk, at, pending) in [(0, t(2), 1), (1, t(5), 2)] {
+            let issue = TraceEvent::SpliceReadIssue {
+                desc,
+                lblk,
+                hit: false,
+            };
+            span.apply(at, &issue, pending, 0);
+        }
+        let s = &spans[desc];
         assert_eq!(s.first_read, Some(t(2)));
         assert_eq!(s.reads_issued, 2);
         assert_eq!(s.max_pending_reads, 2);

@@ -39,4 +39,4 @@ pub use obs::{
     SloConfig,
 };
 pub use time::{Dur, SimTime};
-pub use trace::{BlockSpan, CounterId, PhaseMark, Trace, TraceEvent, TraceQuery, TraceRecord};
+pub use trace::{BackoffKind, BlockSpan, PhaseMark, Trace, TraceEvent, TraceQuery, TraceRecord};

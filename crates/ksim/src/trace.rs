@@ -1,12 +1,15 @@
 //! Typed kernel tracing: structured tracepoints, causal splice spans,
 //! and Chrome trace-event export.
 //!
-//! The trace is a bounded ring of [`TraceRecord`]s — a per-event sequence
-//! number, a [`SimTime`] stamp, and a [`TraceEvent`] covering the whole
-//! kernel vocabulary (scheduler, buffer cache, disks, callouts, network,
-//! and every splice phase keyed by `(desc, lblk)`). Disabled traces cost
-//! one branch: [`Trace::emit`] takes a closure so event construction is
-//! skipped entirely when tracing is off.
+//! [`TraceEvent`] is the kernel's one emission vocabulary (scheduler,
+//! buffer cache, disks, callouts, network, and every splice phase keyed
+//! by `(desc, lblk)`). The kernel builds each event once and folds it
+//! into its counters and splice spans whether or not tracing is on; a
+//! few event fields exist only for those folds and are neither printed
+//! nor exported. [`Trace`] is the optional sink: a bounded ring of
+//! [`TraceRecord`]s — a per-event sequence number, a [`SimTime`] stamp
+//! and the event — and [`Trace::emit`] returns at once when the ring is
+//! off.
 //!
 //! On top of the ring:
 //!
@@ -164,6 +167,9 @@ pub enum TraceEvent {
         desc: u64,
         /// Logical block within the transfer.
         lblk: u64,
+        /// Satisfied from the buffer cache rather than issued to the
+        /// device (folded into `read_hits`; not printed).
+        hit: bool,
     },
     /// Block phase 2: the source block arrived (the §5.2.1 `b_iodone`).
     SpliceReadDone {
@@ -187,19 +193,29 @@ pub enum TraceEvent {
         desc: u64,
         /// Logical block within the transfer.
         lblk: u64,
+        /// Payload bytes the block moved (folded into the span; not
+        /// printed).
+        bytes: u64,
+        /// This block drained the transfer: every byte has moved (folded
+        /// into the span; not printed).
+        drained: bool,
     },
     /// The flow-control tail issued a refill batch.
     SpliceRefill {
         /// Splice descriptor id.
         desc: u64,
     },
-    /// Buffer contention (block busy, or no free buffer) parked a block
-    /// on a buffer wait queue until the buffer is released.
+    /// A block stalled: buffer contention (block busy, or no free
+    /// buffer) parked it on a buffer wait queue until the buffer is
+    /// released, or a device sink paced it.
     SpliceBackoff {
         /// Splice descriptor id.
         desc: u64,
         /// Logical block that waits.
         lblk: u64,
+        /// Which stall this is (selects the splice counter it folds
+        /// into; not printed).
+        kind: BackoffKind,
     },
     /// Recovery: a failed block read/write is being retried after its
     /// exponential-backoff delay.
@@ -223,6 +239,9 @@ pub enum TraceEvent {
     SpliceComplete {
         /// Splice descriptor id.
         desc: u64,
+        /// Finished without an error, i.e. not by abort (folded into
+        /// `splice.completed`; not printed).
+        ok: bool,
     },
     /// One `sys_ring_submit` crossing accepted a batch of SQEs.
     RingSubmit {
@@ -259,6 +278,19 @@ pub enum TraceEvent {
         /// Total requests in the window.
         window_req: u32,
     },
+}
+
+/// The stall a [`TraceEvent::SpliceBackoff`] records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BackoffKind {
+    /// A source read found its block busy or no buffer free.
+    Read,
+    /// A shared-header write found its destination block busy.
+    Write,
+    /// A stream append found its block busy or no buffer free.
+    Append,
+    /// A device sink accepted only part of a block (DAC pacing).
+    DevPacing,
 }
 
 impl TraceEvent {
@@ -305,10 +337,28 @@ impl TraceEvent {
     /// `None` for everything else.
     pub fn splice_key(&self) -> Option<(u64, u64)> {
         match *self {
-            TraceEvent::SpliceReadIssue { desc, lblk }
+            TraceEvent::SpliceReadIssue { desc, lblk, .. }
             | TraceEvent::SpliceReadDone { desc, lblk }
             | TraceEvent::SpliceWriteIssue { desc, lblk }
-            | TraceEvent::SpliceWriteDone { desc, lblk } => Some((desc, lblk)),
+            | TraceEvent::SpliceWriteDone { desc, lblk, .. } => Some((desc, lblk)),
+            _ => None,
+        }
+    }
+
+    /// The splice descriptor a per-descriptor event belongs to; `None`
+    /// for everything else (including `SpliceReject`, which has none).
+    pub fn splice_desc(&self) -> Option<u64> {
+        match *self {
+            TraceEvent::SpliceStart { desc, .. }
+            | TraceEvent::SpliceReadIssue { desc, .. }
+            | TraceEvent::SpliceReadDone { desc, .. }
+            | TraceEvent::SpliceWriteIssue { desc, .. }
+            | TraceEvent::SpliceWriteDone { desc, .. }
+            | TraceEvent::SpliceRefill { desc }
+            | TraceEvent::SpliceBackoff { desc, .. }
+            | TraceEvent::SpliceRetry { desc, .. }
+            | TraceEvent::SpliceAbort { desc, .. }
+            | TraceEvent::SpliceComplete { desc, .. } => Some(desc),
             _ => None,
         }
     }
@@ -389,11 +439,11 @@ impl TraceEvent {
             TraceEvent::SpliceReject { errno } => {
                 Json::obj().with("errno", Json::Str(errno.into()))
             }
-            TraceEvent::SpliceReadIssue { desc, lblk }
+            TraceEvent::SpliceReadIssue { desc, lblk, .. }
             | TraceEvent::SpliceReadDone { desc, lblk }
             | TraceEvent::SpliceWriteIssue { desc, lblk }
-            | TraceEvent::SpliceWriteDone { desc, lblk }
-            | TraceEvent::SpliceBackoff { desc, lblk } => {
+            | TraceEvent::SpliceWriteDone { desc, lblk, .. }
+            | TraceEvent::SpliceBackoff { desc, lblk, .. } => {
                 Json::obj().with("desc", num(desc)).with("lblk", num(lblk))
             }
             TraceEvent::SpliceRetry {
@@ -407,7 +457,7 @@ impl TraceEvent {
             TraceEvent::SpliceAbort { desc, errno } => Json::obj()
                 .with("desc", num(desc))
                 .with("errno", Json::Str(errno.into())),
-            TraceEvent::SpliceRefill { desc } | TraceEvent::SpliceComplete { desc } => {
+            TraceEvent::SpliceRefill { desc } | TraceEvent::SpliceComplete { desc, .. } => {
                 Json::obj().with("desc", num(desc))
             }
             TraceEvent::RingSubmit { ring, entries } | TraceEvent::RingReap { ring, entries } => {
@@ -464,11 +514,11 @@ impl fmt::Display for TraceEvent {
             | TraceEvent::NetDrop { sock, len } => write!(f, " sock={sock} len={len}"),
             TraceEvent::SpliceStart { desc, bytes } => write!(f, " desc={desc} bytes={bytes}"),
             TraceEvent::SpliceReject { errno } => write!(f, " errno={errno}"),
-            TraceEvent::SpliceReadIssue { desc, lblk }
+            TraceEvent::SpliceReadIssue { desc, lblk, .. }
             | TraceEvent::SpliceReadDone { desc, lblk }
             | TraceEvent::SpliceWriteIssue { desc, lblk }
-            | TraceEvent::SpliceWriteDone { desc, lblk }
-            | TraceEvent::SpliceBackoff { desc, lblk } => write!(f, " desc={desc} lblk={lblk}"),
+            | TraceEvent::SpliceWriteDone { desc, lblk, .. }
+            | TraceEvent::SpliceBackoff { desc, lblk, .. } => write!(f, " desc={desc} lblk={lblk}"),
             TraceEvent::SpliceRetry {
                 desc,
                 lblk,
@@ -477,7 +527,7 @@ impl fmt::Display for TraceEvent {
                 write!(f, " desc={desc} lblk={lblk} attempt={attempt}")
             }
             TraceEvent::SpliceAbort { desc, errno } => write!(f, " desc={desc} errno={errno}"),
-            TraceEvent::SpliceRefill { desc } | TraceEvent::SpliceComplete { desc } => {
+            TraceEvent::SpliceRefill { desc } | TraceEvent::SpliceComplete { desc, .. } => {
                 write!(f, " desc={desc}")
             }
             TraceEvent::RingSubmit { ring, entries } | TraceEvent::RingReap { ring, entries } => {
@@ -512,12 +562,6 @@ pub struct TraceRecord {
     pub ev: TraceEvent,
 }
 
-/// Interned handle to a counter series, returned by
-/// [`Trace::counter_id`] and consumed by [`Trace::record_counter_id`].
-/// Recording through a handle costs one bounds check — no name lookup.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CounterId(u32);
-
 /// A bounded ring buffer of typed, sequence-numbered trace records.
 pub struct Trace {
     enabled: bool,
@@ -526,15 +570,6 @@ pub struct Trace {
     /// Records evicted by ring wrap — silent truncation made countable.
     dropped: u64,
     ring: VecDeque<TraceRecord>,
-    /// Per-series cap for counter samples; 0 means counters are off
-    /// (the default — nothing records and the Chrome export is
-    /// byte-identical to a counter-free trace).
-    counter_capacity: usize,
-    /// Named counter series (gauge time series recorded by the
-    /// sampler), each a bounded ring in time order. A `Vec` keyed by
-    /// linear scan: the handful of series stays in insertion order,
-    /// which fixes the Chrome track numbering deterministically.
-    counters: Vec<(String, VecDeque<(SimTime, f64)>)>,
 }
 
 impl Default for Trace {
@@ -552,77 +587,7 @@ impl Trace {
             next_seq: 0,
             dropped: 0,
             ring: VecDeque::new(),
-            counter_capacity: 0,
-            counters: Vec::new(),
         }
-    }
-
-    /// Enables counter recording with a per-series sample cap. Counter
-    /// tracks are an explicit opt-in (the kernel's sampler), separate
-    /// from [`Trace::set_enabled`]: gauges stay recordable even when
-    /// the event ring is off, and an event-only trace never grows
-    /// counter tracks.
-    pub fn set_counter_capacity(&mut self, capacity: usize) {
-        self.counter_capacity = capacity;
-    }
-
-    /// Appends one sample to the named counter series (creating the
-    /// series on first use). No-op until
-    /// [`Trace::set_counter_capacity`] enables counters; the oldest
-    /// sample drops once a series hits the cap.
-    ///
-    /// Convenience wrapper: looks the series up by name every call. A
-    /// periodic recorder should intern the name once with
-    /// [`Trace::counter_id`] and record through
-    /// [`Trace::record_counter_id`] instead, which is allocation- and
-    /// scan-free.
-    pub fn record_counter(&mut self, now: SimTime, name: &str, value: f64) {
-        if self.counter_capacity == 0 {
-            return;
-        }
-        let id = self.counter_id(name);
-        self.record_counter_id(now, id, value);
-    }
-
-    /// Interns `name`, creating its series if needed, and returns a
-    /// handle for [`Trace::record_counter_id`]. Series creation order
-    /// fixes the Chrome counter-track numbering, exactly as with
-    /// [`Trace::record_counter`] first use. No-op handle (series not
-    /// created) until counters are enabled.
-    pub fn counter_id(&mut self, name: &str) -> CounterId {
-        if self.counter_capacity == 0 {
-            return CounterId(u32::MAX);
-        }
-        let index = match self.counters.iter().position(|(n, _)| n == name) {
-            Some(i) => i,
-            None => {
-                self.counters.push((name.to_string(), VecDeque::new()));
-                self.counters.len() - 1
-            }
-        };
-        CounterId(index as u32)
-    }
-
-    /// Appends one sample to an interned counter series: the hot path —
-    /// one bounds check, no hashing, no scan, no allocation once the
-    /// series ring is at capacity.
-    pub fn record_counter_id(&mut self, now: SimTime, id: CounterId, value: f64) {
-        if self.counter_capacity == 0 {
-            return;
-        }
-        let Some((_, series)) = self.counters.get_mut(id.0 as usize) else {
-            return;
-        };
-        if series.len() == self.counter_capacity {
-            series.pop_front();
-        }
-        series.push_back((now, value));
-    }
-
-    /// The recorded counter series, in creation order:
-    /// `(name, samples)` with samples oldest first.
-    pub fn counter_series(&self) -> impl Iterator<Item = (&str, &VecDeque<(SimTime, f64)>)> {
-        self.counters.iter().map(|(n, s)| (n.as_str(), s))
     }
 
     /// Turns tracing on or off.
@@ -640,9 +605,9 @@ impl Trace {
         self.capacity
     }
 
-    /// Records an event if enabled; `f` is not called otherwise, so a
-    /// disabled trace costs exactly one branch per tracepoint.
-    pub fn emit(&mut self, now: SimTime, f: impl FnOnce() -> TraceEvent) {
+    /// Records an event if enabled; a disabled trace returns at once.
+    #[inline]
+    pub fn emit(&mut self, now: SimTime, ev: TraceEvent) {
         if !self.enabled {
             return;
         }
@@ -652,11 +617,7 @@ impl Trace {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.ring.push_back(TraceRecord {
-            seq,
-            at: now,
-            ev: f(),
-        });
+        self.ring.push_back(TraceRecord { seq, at: now, ev });
     }
 
     /// The captured records, oldest first.
@@ -797,25 +758,6 @@ impl Trace {
                             .with("write_done_us", us(wd.at)),
                     ),
             );
-        }
-
-        // Counter ("C") tracks, one tid per series on the kernel pid.
-        // Only present when the sampler recorded something, so a
-        // counter-free trace exports byte-identically to before.
-        for (i, (name, samples)) in self.counters.iter().enumerate() {
-            let tid = 10 + i as u64;
-            evs.push(meta(name, KERNEL_PID, tid, "thread_name"));
-            for (at, value) in samples {
-                evs.push(
-                    Json::obj()
-                        .with("name", Json::Str(name.clone()))
-                        .with("ph", Json::Str("C".into()))
-                        .with("ts", us(*at))
-                        .with("pid", num(KERNEL_PID))
-                        .with("tid", num(tid))
-                        .with("args", Json::obj().with("value", Json::Num(*value))),
-                );
-            }
         }
 
         Json::obj()
@@ -994,15 +936,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_trace_skips_event_construction() {
+    fn disabled_ring_drops_events() {
         let mut tr = Trace::new(8);
-        let mut called = false;
-        tr.emit(SimTime::ZERO, || {
-            called = true;
-            wake(1)
-        });
-        assert!(!called);
+        tr.emit(SimTime::ZERO, wake(1));
         assert_eq!(tr.records().count(), 0);
+        assert_eq!(tr.emitted(), 0);
         assert!(tr.is_empty());
     }
 
@@ -1010,8 +948,8 @@ mod tests {
     fn enabled_trace_captures_in_order_with_seq() {
         let mut tr = Trace::new(8);
         tr.set_enabled(true);
-        tr.emit(SimTime::ZERO, || wake(1));
-        tr.emit(SimTime::ZERO + Dur::from_us(1), || wake(2));
+        tr.emit(SimTime::ZERO, wake(1));
+        tr.emit(SimTime::ZERO + Dur::from_us(1), wake(2));
         let recs: Vec<_> = tr.records().collect();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].seq, 0);
@@ -1024,7 +962,7 @@ mod tests {
         let mut tr = Trace::new(2);
         tr.set_enabled(true);
         for i in 0..5 {
-            tr.emit(SimTime::ZERO, move || wake(i));
+            tr.emit(SimTime::ZERO, wake(i));
         }
         let recs: Vec<_> = tr.records().collect();
         assert_eq!(recs.len(), 2);
@@ -1041,7 +979,7 @@ mod tests {
         let mut tr = Trace::new(8);
         tr.set_enabled(true);
         for i in 0..8 {
-            tr.emit(SimTime::ZERO, move || wake(i));
+            tr.emit(SimTime::ZERO, wake(i));
         }
         assert_eq!(tr.emitted(), 8);
         assert_eq!(tr.dropped(), 0, "at-capacity without wrap drops nothing");
@@ -1051,11 +989,14 @@ mod tests {
     fn slo_alert_event_round_trips() {
         let mut tr = Trace::new(8);
         tr.set_enabled(true);
-        tr.emit(SimTime::ZERO, || TraceEvent::SloAlert {
-            burn_milli: 2500,
-            window_viol: 5,
-            window_req: 64,
-        });
+        tr.emit(
+            SimTime::ZERO,
+            TraceEvent::SloAlert {
+                burn_milli: 2500,
+                window_viol: 5,
+                window_req: 64,
+            },
+        );
         let recs = tr.query().named("slo.alert");
         assert_eq!(recs.len(), 1);
         assert!(
@@ -1080,9 +1021,7 @@ mod tests {
     fn dump_renders_lines_without_per_line_alloc_path() {
         let mut tr = Trace::new(4);
         tr.set_enabled(true);
-        tr.emit(SimTime::ZERO, || TraceEvent::SpliceReject {
-            errno: "EINVAL",
-        });
+        tr.emit(SimTime::ZERO, TraceEvent::SpliceReject { errno: "EINVAL" });
         let dump = tr.dump();
         assert!(dump.contains("splice.reject"), "{dump}");
         assert!(dump.contains("errno=EINVAL"), "{dump}");
@@ -1092,10 +1031,25 @@ mod tests {
 
     fn block_phases(tr: &mut Trace, desc: u64, lblk: u64, t0: u64) {
         let t = |us| SimTime::ZERO + Dur::from_us(us);
-        tr.emit(t(t0), || TraceEvent::SpliceReadIssue { desc, lblk });
-        tr.emit(t(t0 + 1), || TraceEvent::SpliceReadDone { desc, lblk });
-        tr.emit(t(t0 + 2), || TraceEvent::SpliceWriteIssue { desc, lblk });
-        tr.emit(t(t0 + 3), || TraceEvent::SpliceWriteDone { desc, lblk });
+        tr.emit(
+            t(t0),
+            TraceEvent::SpliceReadIssue {
+                desc,
+                lblk,
+                hit: false,
+            },
+        );
+        tr.emit(t(t0 + 1), TraceEvent::SpliceReadDone { desc, lblk });
+        tr.emit(t(t0 + 2), TraceEvent::SpliceWriteIssue { desc, lblk });
+        tr.emit(
+            t(t0 + 3),
+            TraceEvent::SpliceWriteDone {
+                desc,
+                lblk,
+                bytes: 0,
+                drained: false,
+            },
+        );
     }
 
     #[test]
@@ -1116,13 +1070,23 @@ mod tests {
     fn partial_span_is_incomplete_and_gap_is_unordered() {
         let mut tr = Trace::new(64);
         tr.set_enabled(true);
-        tr.emit(SimTime::ZERO, || TraceEvent::SpliceReadIssue {
-            desc: 1,
-            lblk: 0,
-        });
-        tr.emit(SimTime::ZERO + Dur::from_us(1), || {
-            TraceEvent::SpliceWriteDone { desc: 1, lblk: 0 }
-        });
+        tr.emit(
+            SimTime::ZERO,
+            TraceEvent::SpliceReadIssue {
+                desc: 1,
+                lblk: 0,
+                hit: false,
+            },
+        );
+        tr.emit(
+            SimTime::ZERO + Dur::from_us(1),
+            TraceEvent::SpliceWriteDone {
+                desc: 1,
+                lblk: 0,
+                bytes: 0,
+                drained: false,
+            },
+        );
         let s = tr.query().span_of(1, 0).unwrap();
         assert!(!s.complete());
         assert!(!s.ordered(), "write_done without write_issue is a gap");
@@ -1132,14 +1096,12 @@ mod tests {
     fn query_filters_and_ordering_assertions() {
         let mut tr = Trace::new(64);
         tr.set_enabled(true);
-        tr.emit(SimTime::ZERO, || TraceEvent::SpliceStart {
-            desc: 1,
-            bytes: 8,
-        });
+        tr.emit(SimTime::ZERO, TraceEvent::SpliceStart { desc: 1, bytes: 8 });
         block_phases(&mut tr, 1, 0, 5);
-        tr.emit(SimTime::ZERO + Dur::from_us(9), || {
-            TraceEvent::SpliceComplete { desc: 1 }
-        });
+        tr.emit(
+            SimTime::ZERO + Dur::from_us(9),
+            TraceEvent::SpliceComplete { desc: 1, ok: true },
+        );
         let q = tr.query();
         assert_eq!(q.named("splice.start").len(), 1);
         assert_eq!(
@@ -1165,11 +1127,11 @@ mod tests {
     fn assert_ordered_panics_on_inversion() {
         let mut tr = Trace::new(8);
         tr.set_enabled(true);
-        tr.emit(SimTime::ZERO, || TraceEvent::SpliceComplete { desc: 1 });
-        tr.emit(SimTime::ZERO, || TraceEvent::SpliceStart {
-            desc: 1,
-            bytes: 1,
-        });
+        tr.emit(
+            SimTime::ZERO,
+            TraceEvent::SpliceComplete { desc: 1, ok: true },
+        );
+        tr.emit(SimTime::ZERO, TraceEvent::SpliceStart { desc: 1, bytes: 1 });
         tr.query()
             .assert_ordered(&["splice.start", "splice.complete"]);
     }
@@ -1178,18 +1140,48 @@ mod tests {
     fn chrome_export_parses_and_is_monotone_per_track() {
         let mut tr = Trace::new(64);
         tr.set_enabled(true);
-        tr.emit(SimTime::ZERO, || TraceEvent::SchedWakeup { pid: 1 });
+        tr.emit(SimTime::ZERO, TraceEvent::SchedWakeup { pid: 1 });
         // Two overlapping block spans, emitted in time order as the
         // simulator would (the clock never runs backwards).
         let t = |us| SimTime::ZERO + Dur::from_us(us);
-        tr.emit(t(2), || TraceEvent::SpliceReadIssue { desc: 3, lblk: 0 });
-        tr.emit(t(3), || TraceEvent::SpliceReadDone { desc: 3, lblk: 0 });
-        tr.emit(t(4), || TraceEvent::SpliceWriteIssue { desc: 3, lblk: 0 });
-        tr.emit(t(4), || TraceEvent::SpliceReadIssue { desc: 3, lblk: 1 });
-        tr.emit(t(5), || TraceEvent::SpliceWriteDone { desc: 3, lblk: 0 });
-        tr.emit(t(5), || TraceEvent::SpliceReadDone { desc: 3, lblk: 1 });
-        tr.emit(t(6), || TraceEvent::SpliceWriteIssue { desc: 3, lblk: 1 });
-        tr.emit(t(7), || TraceEvent::SpliceWriteDone { desc: 3, lblk: 1 });
+        tr.emit(
+            t(2),
+            TraceEvent::SpliceReadIssue {
+                desc: 3,
+                lblk: 0,
+                hit: false,
+            },
+        );
+        tr.emit(t(3), TraceEvent::SpliceReadDone { desc: 3, lblk: 0 });
+        tr.emit(t(4), TraceEvent::SpliceWriteIssue { desc: 3, lblk: 0 });
+        tr.emit(
+            t(4),
+            TraceEvent::SpliceReadIssue {
+                desc: 3,
+                lblk: 1,
+                hit: false,
+            },
+        );
+        tr.emit(
+            t(5),
+            TraceEvent::SpliceWriteDone {
+                desc: 3,
+                lblk: 0,
+                bytes: 0,
+                drained: false,
+            },
+        );
+        tr.emit(t(5), TraceEvent::SpliceReadDone { desc: 3, lblk: 1 });
+        tr.emit(t(6), TraceEvent::SpliceWriteIssue { desc: 3, lblk: 1 });
+        tr.emit(
+            t(7),
+            TraceEvent::SpliceWriteDone {
+                desc: 3,
+                lblk: 1,
+                bytes: 0,
+                drained: false,
+            },
+        );
         let doc = tr.to_chrome_json();
         let parsed = Json::parse(&doc.render()).expect("chrome json parses");
         assert_eq!(parsed, doc);
@@ -1256,13 +1248,18 @@ mod tests {
         // incomplete but *ordered* — the observed prefix is causal.
         let mut tr = Trace::new(64);
         tr.set_enabled(true);
-        tr.emit(SimTime::ZERO, || TraceEvent::SpliceReadIssue {
-            desc: 9,
-            lblk: 4,
-        });
-        tr.emit(SimTime::ZERO + Dur::from_us(1), || {
-            TraceEvent::SpliceReadDone { desc: 9, lblk: 4 }
-        });
+        tr.emit(
+            SimTime::ZERO,
+            TraceEvent::SpliceReadIssue {
+                desc: 9,
+                lblk: 4,
+                hit: false,
+            },
+        );
+        tr.emit(
+            SimTime::ZERO + Dur::from_us(1),
+            TraceEvent::SpliceReadDone { desc: 9, lblk: 4 },
+        );
         let s = tr.query().span_of(9, 4).unwrap();
         assert!(!s.complete());
         assert!(s.ordered(), "a causal prefix is not a gap");
@@ -1270,13 +1267,23 @@ mod tests {
         // Whereas a wrap that ate the *middle* phases leaves a gap.
         let mut tr2 = Trace::new(64);
         tr2.set_enabled(true);
-        tr2.emit(SimTime::ZERO, || TraceEvent::SpliceReadIssue {
-            desc: 9,
-            lblk: 5,
-        });
-        tr2.emit(SimTime::ZERO + Dur::from_us(3), || {
-            TraceEvent::SpliceWriteDone { desc: 9, lblk: 5 }
-        });
+        tr2.emit(
+            SimTime::ZERO,
+            TraceEvent::SpliceReadIssue {
+                desc: 9,
+                lblk: 5,
+                hit: false,
+            },
+        );
+        tr2.emit(
+            SimTime::ZERO + Dur::from_us(3),
+            TraceEvent::SpliceWriteDone {
+                desc: 9,
+                lblk: 5,
+                bytes: 0,
+                drained: false,
+            },
+        );
         let s = tr2.query().span_of(9, 5).unwrap();
         assert!(!s.ordered(), "missing middle phase before a later one");
     }
@@ -1285,74 +1292,18 @@ mod tests {
     fn ring_sqe_wait_event_round_trips() {
         let mut tr = Trace::new(8);
         tr.set_enabled(true);
-        tr.emit(SimTime::ZERO, || TraceEvent::RingSqeWait {
-            ring: 3,
-            wait_ns: 41_000,
-        });
+        tr.emit(
+            SimTime::ZERO,
+            TraceEvent::RingSqeWait {
+                ring: 3,
+                wait_ns: 41_000,
+            },
+        );
         let recs = tr.query().named("ring.sqe_wait");
         assert_eq!(recs.len(), 1);
         assert!(tr.dump().contains("ring=3 wait_ns=41000"), "{}", tr.dump());
         let doc = tr.to_chrome_json();
         let parsed = Json::parse(&doc.render()).expect("chrome json parses");
         assert_eq!(parsed, doc);
-    }
-
-    #[test]
-    fn counters_are_off_by_default_and_bounded_when_enabled() {
-        let mut tr = Trace::new(8);
-        tr.record_counter(SimTime::ZERO, "x", 1.0);
-        assert_eq!(tr.counter_series().count(), 0, "off until capacity set");
-
-        tr.set_counter_capacity(2);
-        let t = |us| SimTime::ZERO + Dur::from_us(us);
-        for i in 0..5u64 {
-            tr.record_counter(t(i), "x", i as f64);
-        }
-        let (name, samples) = tr.counter_series().next().unwrap();
-        assert_eq!(name, "x");
-        assert_eq!(samples.len(), 2, "oldest samples dropped at capacity");
-        assert_eq!(samples[0], (t(3), 3.0));
-        assert_eq!(samples[1], (t(4), 4.0));
-    }
-
-    #[test]
-    fn chrome_export_adds_counter_tracks_only_when_recorded() {
-        let mut tr = Trace::new(8);
-        tr.set_enabled(true);
-        tr.emit(SimTime::ZERO, || wake(1));
-        let before = tr.to_chrome_json().render();
-
-        // Enabling counters without recording changes nothing.
-        tr.set_counter_capacity(16);
-        assert_eq!(tr.to_chrome_json().render(), before);
-
-        let t = |us| SimTime::ZERO + Dur::from_us(us);
-        tr.record_counter(t(1), "cache.resident", 10.0);
-        tr.record_counter(t(2), "cache.resident", 12.0);
-        tr.record_counter(t(2), "pid1.cpu_share", 0.5);
-        let doc = tr.to_chrome_json();
-        let evs = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        let counters: Vec<&Json> = evs
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
-            .collect();
-        assert_eq!(counters.len(), 3);
-        assert_eq!(
-            counters[0].get("name").and_then(Json::as_str),
-            Some("cache.resident")
-        );
-        assert_eq!(
-            counters[0]
-                .get("args")
-                .and_then(|a| a.get("value"))
-                .and_then(Json::as_f64),
-            Some(10.0)
-        );
-        // Each series has its own tid, monotone in time.
-        let tids: Vec<u64> = counters
-            .iter()
-            .map(|e| e.get("tid").and_then(Json::as_u64).unwrap())
-            .collect();
-        assert_eq!(tids, vec![10, 10, 11]);
     }
 }

@@ -19,6 +19,21 @@ cargo test -q --workspace
 echo "== rustfmt (check only) =="
 cargo fmt --all -- --check
 
+echo "== one emission path: the kernel pushes to the trace ring only from Kernel::note =="
+# Counters and splice spans are folds of the events `Kernel::note`
+# records; an event pushed to the ring anywhere else would bypass them.
+stray_emits=$(awk '
+    FNR == 1 { in_note = 0 }
+    /^    pub\(crate\) fn note\(/ { in_note = 1 }
+    /trace\.emit\(/ && !in_note { print FILENAME ":" FNR ":" $0 }
+    in_note && /^    }$/ { in_note = 0 }
+' $(find crates/core/src -name '*.rs' | sort))
+if [ -n "$stray_emits" ]; then
+    echo "trace.emit( outside Kernel::note (record the event with self.note instead):"
+    echo "$stray_emits"
+    exit 1
+fi
+
 echo "== clippy (workspace, warnings are errors) =="
 cargo clippy --workspace -- -D warnings
 

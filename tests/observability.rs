@@ -13,9 +13,14 @@
 use std::collections::HashMap;
 
 use kdev::Framebuffer;
-use kproc::programs::{Cp, EndSpec, EndpointPair, Scp};
-use kproc::{Errno, ProcState, SpliceLen, SyscallRet};
-use ksim::Json;
+use std::rc::Rc;
+
+use kproc::programs::{
+    open_loop_delays, scenario_stats, Cp, EndSpec, EndpointPair, Scp, ServeMode, ServerClient,
+    SpliceServer,
+};
+use kproc::{Errno, ProcState, SockAddr, SpliceLen, SyscallRet};
+use ksim::{Dur, Json};
 use splice::{Kernel, KernelBuilder, KernelConfig, TraceEvent};
 
 const MB: u64 = 1024 * 1024;
@@ -151,18 +156,11 @@ fn trace_wrap_is_counted_in_the_obs_section() {
     assert_eq!(obs.get("sampler.dropped").and_then(Json::as_u64), Some(0));
 }
 
-#[test]
-fn served_requests_populate_spans_slo_counters_and_exemplars() {
-    use kproc::programs::{
-        open_loop_delays, scenario_stats, ServeMode, ServerClient, SpliceServer,
-    };
-    use kproc::SockAddr;
-    use ksim::Dur;
-    use std::rc::Rc;
-
-    let conns = 96usize;
+/// Serves `conns` open-loop clients an 8 KB file over a 1 Gb/s link
+/// (seed 13) and checks every request completed.
+fn served_fleet(b: KernelBuilder, conns: usize, mode: ServeMode) -> Kernel {
     let file_bytes = 8 * 1024u64;
-    let mut k = KernelBuilder::paper_machine_ram().trace(1 << 16).build();
+    let mut k = b.build();
     k.net_mut().set_link_model(
         1,
         knet::LinkModel {
@@ -182,7 +180,7 @@ fn served_requests_populate_spans_slo_counters_and_exemplars() {
         file_bytes,
         conns,
         conns as u32,
-        ServeMode::Splice,
+        mode,
         Rc::clone(&stats),
     )));
     for delay in open_loop_delays(conns, Dur::from_ms(20), 13) {
@@ -197,6 +195,17 @@ fn served_requests_populate_spans_slo_counters_and_exemplars() {
     let horizon = k.horizon(600);
     k.run_to_exit(horizon);
     assert_eq!(stats.borrow().completed, conns as u64);
+    k
+}
+
+#[test]
+fn served_requests_populate_spans_slo_counters_and_exemplars() {
+    let conns = 96usize;
+    let k = served_fleet(
+        KernelBuilder::paper_machine_ram().trace(1 << 16),
+        conns,
+        ServeMode::Splice,
+    );
 
     // The resident pipeline observed every served request without any
     // builder opt-in, and the counters are internally consistent.
@@ -265,7 +274,7 @@ fn splice_complete_fires_exactly_once_per_descriptor() {
     for r in k.trace().records() {
         match r.ev {
             TraceEvent::SpliceStart { desc, .. } => *started.entry(desc).or_default() += 1,
-            TraceEvent::SpliceComplete { desc } => *completed.entry(desc).or_default() += 1,
+            TraceEvent::SpliceComplete { desc, .. } => *completed.entry(desc).or_default() += 1,
             _ => {}
         }
     }
@@ -322,12 +331,46 @@ fn cold_file_never_hits_before_its_first_miss() {
 
 #[test]
 fn disabled_trace_records_nothing() {
-    // Without the builder opt-in every tracepoint is one branch: the
-    // ring stays empty — no records, no formatting, no allocation.
+    // Without the builder opt-in the kernel still folds every event
+    // into its counters and spans, but the ring stays empty.
     let k = spliced_kernel();
     assert!(!k.trace().enabled());
     assert!(k.trace().is_empty(), "disabled trace must record nothing");
     assert_eq!(k.trace().query().all_block_spans().len(), 0);
+}
+
+#[test]
+fn metrics_do_not_depend_on_the_trace_ring() {
+    // Counters and spans are folds of the event stream and the ring is
+    // only a sink: turning it on must change nothing in the snapshot
+    // but the ring's own accounting. The exemplar's `trace_seq` is a
+    // position in the ring, so it goes too.
+    let snapshot = |k: &Kernel| {
+        let mut m = k.metrics();
+        m.obs.trace_emitted = 0;
+        m.obs.trace_dropped = 0;
+        if let Some((_, seq)) = &mut m.obs.p999_exemplar {
+            *seq = 0;
+        }
+        m.to_json().render()
+    };
+    let copy_off = snapshot(&spliced_kernel());
+    let copy_on = snapshot(&traced_kernel());
+    assert_eq!(
+        copy_off, copy_on,
+        "SCP copy: the trace ring changed the metrics"
+    );
+
+    let ring = ServeMode::Ring { depth: 64 };
+    let fleet_off = served_fleet(KernelBuilder::paper_machine_ram(), 96, ring);
+    let fleet_on = served_fleet(KernelBuilder::paper_machine_ram().trace(1 << 20), 96, ring);
+    assert!(fleet_on.trace().dropped() == 0 && !fleet_on.trace().is_empty());
+    assert!(fleet_off.metrics().splice.started > 0);
+    assert_eq!(
+        snapshot(&fleet_off),
+        snapshot(&fleet_on),
+        "ring server: the trace ring changed the metrics"
+    );
 }
 
 #[test]

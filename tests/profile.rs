@@ -4,9 +4,8 @@
 //! (bucket boundaries, merge), monotone where it estimates
 //! (percentiles), and safe at the extremes (top-bucket saturation).
 //! The gauge sampler must be deterministic — identical runs produce
-//! identical `TS_*.json` bytes — bounded at its configured capacity,
-//! and completely absent (down to the trace-export bytes) when not
-//! opted into.
+//! identical `TS_*.json` bytes — and bounded at its configured
+//! capacity.
 
 use kproc::programs::Scp;
 use kproc::ProcState;
@@ -157,45 +156,6 @@ fn sampler_records_cpu_share_gauges() {
             assert!((0.0..=1.0).contains(f), "pid {pid} share {f} out of range");
         }
     }
-}
-
-#[test]
-fn chrome_counters_only_with_sampling() {
-    let count_c = |k: &Kernel| {
-        let doc = Json::parse(&k.trace().to_chrome_json().render()).expect("chrome json parses");
-        doc.get("traceEvents")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
-            .count()
-    };
-
-    // Without the opt-in: no counter events at all.
-    let mut plain = KernelBuilder::paper_machine_ram().trace(1 << 20).build();
-    plain.setup_file("/d0/src", 2 * MB, 5);
-    plain.cold_cache();
-    let pid = plain.spawn(Box::new(Scp::new("/d0/src", "/d1/dst")));
-    let horizon = plain.horizon(300);
-    plain.run_to_exit(horizon);
-    assert!(matches!(
-        plain.procs().must(pid).state,
-        ProcState::Exited(0)
-    ));
-    assert_eq!(
-        count_c(&plain),
-        0,
-        "sampler-free trace must have no C events"
-    );
-
-    // With it: every sample mirrors its gauges as counter events.
-    let sampled = sampled_kernel(Dur::from_ms(5), 4096);
-    let n = count_c(&sampled);
-    assert!(n > 0, "sampled trace must contain counter events");
-    assert!(
-        n >= sampled.samples().count(),
-        "each sample should emit at least one counter event"
-    );
 }
 
 // ----- profile snapshot ---------------------------------------------------
