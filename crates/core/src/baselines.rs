@@ -22,27 +22,19 @@
 //! substrate luck.
 
 use kbuf::BreadOutcome;
-use kproc::{
-    Chan, ChanSpace, Errno, Fd, OpenFlags, Pid, Program, Step, SyscallReq, SyscallRet, UserCtx,
-};
+use kproc::{Errno, Fd, OpenFlags, Program, Step, SyscallReq, SyscallRet, UserCtx};
 use ksim::Dur;
 
 use crate::kernel::{IoCtx, Kernel};
 use crate::objects::{FileId, FileObj};
-use crate::syscalls::{Cont, SyscallOutcome, WriteCont};
+use crate::syscalls::{bread_wait, Cont, SyscallOutcome, WriteCont};
 
 impl Kernel {
     /// `HandleRead`: pin the next block at the descriptor's offset in a
-    /// kernel handle. Returns the handle (> 0), 0 at EOF.
-    pub(crate) fn do_handle_read(&mut self, pid: Pid, fid: FileId, base: Dur) -> SyscallOutcome {
-        self.do_handle_read_resume(pid, fid, None, base)
-    }
-
-    /// [`Kernel::do_handle_read`] with an optionally held buffer from a
-    /// biowait resume.
-    pub(crate) fn do_handle_read_resume(
+    /// kernel handle. Returns the handle (> 0), 0 at EOF. A call resumed
+    /// from its biowait passes the buffer it held across the sleep.
+    pub(crate) fn do_handle_read(
         &mut self,
-        pid: Pid,
         fid: FileId,
         wait_buf: Option<kbuf::BufId>,
         base: Dur,
@@ -88,49 +80,14 @@ impl Kernel {
             let out = self.cache.bread(dev, pblk, bs, &mut fx);
             cpu += self.apply_cache_effects(fx, IoCtx::Process) + m.buf_op;
             match out {
-                BreadOutcome::Hit(buf) => buf,
-                BreadOutcome::Miss(buf) if self.cache.io_done(buf) => buf,
-                BreadOutcome::Miss(buf) => {
+                BreadOutcome::Hit(buf) | BreadOutcome::Miss(buf) if self.cache.io_done(buf) => buf,
+                out => {
                     // Hold the buffer across the biowait (file_read's
                     // wait_buf discipline: re-breading would deadlock on
                     // our own busy buffer).
-                    self.conts.insert(
-                        pid,
-                        Cont::HandleRead {
-                            fid,
-                            wait_buf: Some(buf),
-                        },
-                    );
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::Buf, buf.0 as u64),
-                    };
-                }
-                BreadOutcome::Busy(buf) => {
-                    self.conts.insert(
-                        pid,
-                        Cont::HandleRead {
-                            fid,
-                            wait_buf: None,
-                        },
-                    );
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::Buf, buf.0 as u64),
-                    };
-                }
-                BreadOutcome::NoBuffers => {
-                    self.conts.insert(
-                        pid,
-                        Cont::HandleRead {
-                            fid,
-                            wait_buf: None,
-                        },
-                    );
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::AnyBuf, 0),
-                    };
+                    let (chan, wait_buf) = bread_wait(out);
+                    let cont = Cont::HandleRead { fid, wait_buf };
+                    return SyscallOutcome::Block { cpu, chan, cont };
                 }
             }
         };
@@ -159,7 +116,6 @@ impl Kernel {
     /// without a `copyin`.
     pub(crate) fn do_handle_write(
         &mut self,
-        pid: Pid,
         fid: FileId,
         handle: i64,
         base: Dur,
@@ -177,29 +133,17 @@ impl Kernel {
             rmw_buf: None,
             kernel_data: true,
         };
-        self.do_write(pid, cont, base)
+        self.do_write(cont, base)
     }
 
     /// `MmapFault`: the kernel half of copying `len` mapped bytes — page
     /// faults on both mappings plus the cache traffic they imply. The
     /// data lands in the destination cache blocks here (the user `memcpy`
     /// "through the mapping"); its CPU time is charged by the program as
-    /// compute.
+    /// compute. A fault resumed from its biowait passes the buffer it
+    /// held across the sleep.
     pub(crate) fn do_mmap_fault(
         &mut self,
-        pid: Pid,
-        src_fid: FileId,
-        dst_fid: FileId,
-        len: usize,
-    ) -> SyscallOutcome {
-        self.do_mmap_fault_resume(pid, src_fid, dst_fid, len, None)
-    }
-
-    /// [`Kernel::do_mmap_fault`] with an optionally held buffer from a
-    /// biowait resume.
-    pub(crate) fn do_mmap_fault_resume(
-        &mut self,
-        pid: Pid,
         src_fid: FileId,
         dst_fid: FileId,
         len: usize,
@@ -248,52 +192,16 @@ impl Kernel {
             let out = self.cache.bread(dev, pblk, bs, &mut fx);
             cpu += self.apply_cache_effects(fx, IoCtx::Process);
             match out {
-                BreadOutcome::Hit(b) => b,
-                BreadOutcome::Miss(b) if self.cache.io_done(b) => b,
-                BreadOutcome::Miss(b) => {
-                    self.conts.insert(
-                        pid,
-                        Cont::MmapFault {
-                            src_fid,
-                            dst_fid,
-                            len,
-                            wait_buf: Some(b),
-                        },
-                    );
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::Buf, b.0 as u64),
+                BreadOutcome::Hit(b) | BreadOutcome::Miss(b) if self.cache.io_done(b) => b,
+                out => {
+                    let (chan, wait_buf) = bread_wait(out);
+                    let cont = Cont::MmapFault {
+                        src_fid,
+                        dst_fid,
+                        len,
+                        wait_buf,
                     };
-                }
-                BreadOutcome::Busy(b) => {
-                    self.conts.insert(
-                        pid,
-                        Cont::MmapFault {
-                            src_fid,
-                            dst_fid,
-                            len,
-                            wait_buf: None,
-                        },
-                    );
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::Buf, b.0 as u64),
-                    };
-                }
-                BreadOutcome::NoBuffers => {
-                    self.conts.insert(
-                        pid,
-                        Cont::MmapFault {
-                            src_fid,
-                            dst_fid,
-                            len,
-                            wait_buf: None,
-                        },
-                    );
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::AnyBuf, 0),
-                    };
+                    return SyscallOutcome::Block { cpu, chan, cont };
                 }
             }
         };
@@ -316,7 +224,7 @@ impl Kernel {
             rmw_buf: None,
             kernel_data: true,
         };
-        match self.do_write(pid, cont, Dur::ZERO) {
+        match self.do_write(cont, Dur::ZERO) {
             SyscallOutcome::Done { cpu: c2, ret } => SyscallOutcome::Done {
                 cpu: cpu + c2,
                 ret: match ret {
@@ -324,9 +232,14 @@ impl Kernel {
                     e => e,
                 },
             },
-            SyscallOutcome::Block { cpu: c2, chan } => SyscallOutcome::Block {
+            SyscallOutcome::Block {
+                cpu: c2,
+                chan,
+                cont,
+            } => SyscallOutcome::Block {
                 cpu: cpu + c2,
                 chan,
+                cont,
             },
             SyscallOutcome::BlockUntil {
                 cpu: c2,

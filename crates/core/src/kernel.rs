@@ -32,7 +32,7 @@ use crate::bufwait::WaitChan;
 use crate::event::{Event, KWork};
 use crate::objects::{CharDev, CharDevUnit, DiskUnit, DiskUnitKind, FileTable};
 use crate::splice_engine::{retry_delay_ticks, FlowControl, SpliceDesc};
-use crate::syscalls::{AfterCpu, Cont, SyscallOutcome, WakeAction};
+use crate::syscalls::{buf_chan, AfterCpu, SyscallOutcome, WakeAction, ANY_BUF};
 
 /// Static kernel configuration.
 #[derive(Clone)]
@@ -99,9 +99,13 @@ pub struct Kernel {
     /// descriptor is torn down for partial-transfer audits.
     pub(crate) splice_outcomes: HashMap<u64, crate::splice_engine::SpliceOutcome>,
     pub(crate) next_splice: u64,
-    pub(crate) conts: HashMap<Pid, Cont>,
-    pub(crate) pending_after: HashMap<Pid, AfterCpu>,
-    pub(crate) timed_actions: HashMap<Pid, WakeAction>,
+    /// What each blocked process does when it next runs: the one owner
+    /// of a waiting call's state, from the block until `run_process`
+    /// takes it.
+    pub(crate) wake: HashMap<Pid, WakeAction>,
+    /// The after-action of the one syscall chunk on the CPU, and whose
+    /// chunk it is.
+    pub(crate) after: Option<(Pid, AfterCpu)>,
     pub(crate) iodone_map: HashMap<IodoneTag, KWork>,
     pub(crate) next_tag: u64,
     /// Splice rings plus the unified in-flight routing table (every
@@ -112,7 +116,6 @@ pub struct Kernel {
     /// A wakeup boosted a process while a syscall chunk was on the CPU;
     /// reschedule at the next kernel exit.
     pub(crate) resched: bool,
-    pub(crate) itimer_callouts: HashMap<Pid, ksim::CalloutId>,
     /// In-flight SCSI requests: (disk, token) → (buffer, direction).
     pub(crate) io_tokens: HashMap<(usize, u64), (BufId, IoDir)>,
     pub(crate) next_io_token: u64,
@@ -154,6 +157,10 @@ pub struct Kernel {
 /// an explicit one).
 pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 400_000;
 
+/// The channel a timed sleep (`SyscallOutcome::BlockUntil`) sleeps on.
+/// No wakeup targets it: only the sleep's own `Event::TimedWake` ends it.
+const TIMED_SLEEP: Chan = Chan::new(ChanSpace::Dev, u64::MAX);
+
 impl Kernel {
     /// Builds a kernel with no disks or devices (the builder adds them).
     pub(crate) fn new(cfg: KernelConfig) -> Kernel {
@@ -176,16 +183,14 @@ impl Kernel {
             splices: HashMap::new(),
             splice_outcomes: HashMap::new(),
             next_splice: 1,
-            conts: HashMap::new(),
-            pending_after: HashMap::new(),
-            timed_actions: HashMap::new(),
+            wake: HashMap::new(),
+            after: None,
             iodone_map: HashMap::new(),
             next_tag: 1,
             rings: crate::splice_ring::RingTable::new(),
             deferred: VecDeque::new(),
             dispatch_pending: false,
             resched: false,
-            itimer_callouts: HashMap::new(),
             io_tokens: HashMap::new(),
             next_io_token: 1,
             parked_sends: HashMap::new(),
@@ -439,6 +444,7 @@ impl Kernel {
         if !matches!(self.procs.must(pid).state, ProcState::Sleeping(_)) {
             return;
         }
+        self.check_wait_state(pid);
         self.procs.set_state(pid, ProcState::Runnable);
         self.note(TraceEvent::SchedWakeup { pid: pid.0 });
         self.enter_runq(pid);
@@ -498,18 +504,14 @@ impl Kernel {
         for pid in self.procs.sleepers(chan) {
             self.make_runnable(pid);
         }
-        // Close the lost-wakeup window: a process whose system call has
-        // decided to sleep on `chan` but whose CPU chunk has not finished
-        // yet must not go to sleep — it re-checks instead.
-        let pending: Vec<Pid> = self
-            .pending_after
-            .iter()
-            .filter(|(_, a)| matches!(a, AfterCpu::Sleep(c) if *c == chan))
-            .map(|(pid, _)| *pid)
-            .collect();
-        for pid in pending {
-            self.pending_after.insert(pid, AfterCpu::Retry);
-            self.counts.sched.wakeup_races += 1;
+        // Close the lost-wakeup window: the system call on the CPU may
+        // have decided to sleep on `chan` with its chunk not yet done; it
+        // must not go to sleep — it re-checks instead.
+        if let Some((_, after)) = &mut self.after {
+            if matches!(after, AfterCpu::Sleep(c) if *c == chan) {
+                *after = AfterCpu::Retry;
+                self.counts.sched.wakeup_races += 1;
+            }
         }
     }
 
@@ -525,12 +527,11 @@ impl Kernel {
             if chan.space == ChanSpace::Pause {
                 self.make_runnable(pid);
             }
-        } else if matches!(
-            self.pending_after.get(&pid),
-            Some(AfterCpu::Sleep(c)) if c.space == ChanSpace::Pause
-        ) {
-            // Signal raced the pause(2) entry: do not sleep.
-            self.pending_after.insert(pid, AfterCpu::Retry);
+        } else if let Some((owner, after)) = &mut self.after {
+            if *owner == pid && matches!(after, AfterCpu::Sleep(c) if c.space == ChanSpace::Pause) {
+                // Signal raced the pause(2) entry: do not sleep.
+                *after = AfterCpu::Retry;
+            }
         }
     }
 
@@ -593,11 +594,11 @@ impl Kernel {
                     sync_cost += self.start_io(buf, dev, blkno, len, dir, ctx);
                 }
                 kbuf::Effect::Wakeup { buf } => {
-                    self.wakeup(Chan::new(ChanSpace::Buf, buf.0 as u64));
+                    self.wakeup(buf_chan(buf));
                     self.wake_waiter(WaitChan::Buf(buf));
                 }
                 kbuf::Effect::BuffersAvailable => {
-                    self.wakeup(Chan::new(ChanSpace::AnyBuf, 0));
+                    self.wakeup(ANY_BUF);
                     self.wake_waiter(WaitChan::AnyBuf);
                 }
             }
@@ -845,16 +846,16 @@ impl Kernel {
             return;
         }
 
-        // A blocked system call to resume?
-        if let Some(cont) = self.conts.remove(&pid) {
-            let out = self.resume_cont(pid, cont);
-            self.apply_syscall_outcome(pid, out, quantum_left);
-            return;
-        }
-
-        // Delivered return value from a timed wake?
-        if let Some(AfterCpu::Deliver(ret)) = self.pending_after.remove(&pid) {
-            self.procs.must_mut(pid).ctx.ret = Some(ret);
+        // A blocked system call to resume, or a timed wake's return
+        // value to deliver?
+        match self.wake.remove(&pid) {
+            Some(WakeAction::Resume(cont)) => {
+                let out = self.resume_cont(pid, cont);
+                self.apply_syscall_outcome(pid, out, quantum_left);
+                return;
+            }
+            Some(WakeAction::Deliver(ret)) => self.procs.must_mut(pid).ctx.ret = Some(ret),
+            None => {}
         }
 
         // Step the program.
@@ -896,12 +897,17 @@ impl Kernel {
     ) {
         let (cpu, after) = match out {
             SyscallOutcome::Done { cpu, ret } => (cpu, AfterCpu::Deliver(ret)),
-            SyscallOutcome::Block { cpu, chan } => (cpu, AfterCpu::Sleep(chan)),
+            SyscallOutcome::Block { cpu, chan, cont } => {
+                self.wake.insert(pid, WakeAction::Resume(cont));
+                (cpu, AfterCpu::Sleep(chan))
+            }
             SyscallOutcome::BlockUntil { cpu, until, then } => {
-                (cpu, AfterCpu::SleepUntil { until, then })
+                self.wake.insert(pid, then);
+                (cpu, AfterCpu::SleepUntil(until))
             }
         };
-        self.pending_after.insert(pid, after);
+        debug_assert!(self.after.is_none(), "two syscall chunks in flight");
+        self.after = Some((pid, after));
         let p = self.procs.must_mut(pid);
         p.acct.sys_time += cpu;
         p.recent_cpu += cpu;
@@ -916,14 +922,15 @@ impl Kernel {
         for fd in self.files.fds_of(pid) {
             self.close_fd(pid, fd);
         }
-        if let Some(id) = self.itimer_callouts.remove(&pid) {
-            self.callout.cancel(id);
+        if let Some(timer) = self.procs.must_mut(pid).itimer.take() {
+            self.callout.cancel(timer.callout);
         }
         // Rings die with their owner; in-flight entries drain silently.
         self.ring_owner_exit(pid);
         let now = self.q.now();
         self.procs.must_mut(pid).ended = Some(now);
         self.procs.set_state(pid, ProcState::Exited(code));
+        self.check_wait_state(pid);
         self.counts.sched.exits += 1;
         self.try_dispatch();
     }
@@ -970,10 +977,11 @@ impl Kernel {
                 self.run_process(pid, run.quantum_left);
             }
             RunKind::SyscallCpu => {
-                let after = self
-                    .pending_after
-                    .remove(&pid)
+                let (owner, after) = self
+                    .after
+                    .take()
                     .expect("syscall chunk without after-action");
+                debug_assert_eq!(owner, pid, "after-action of another process's chunk");
                 match after {
                     AfterCpu::Deliver(ret) => {
                         self.procs.must_mut(pid).ctx.ret = Some(ret);
@@ -986,22 +994,20 @@ impl Kernel {
                         });
                         self.procs.must_mut(pid).acct.vcsw += 1;
                         self.procs.set_state(pid, ProcState::Sleeping(chan));
+                        self.check_wait_state(pid);
                         // The block is itself the reschedule.
                         self.resched = false;
                         self.try_dispatch();
                     }
                     AfterCpu::Retry => {
                         // The awaited event happened during the chunk:
-                        // resume the continuation at once.
+                        // take the wake action at once.
                         self.run_process(pid, run.quantum_left);
                     }
-                    AfterCpu::SleepUntil { until, then } => {
+                    AfterCpu::SleepUntil(until) => {
                         self.procs.must_mut(pid).acct.vcsw += 1;
-                        self.procs.set_state(
-                            pid,
-                            ProcState::Sleeping(Chan::new(ChanSpace::Dev, u64::MAX)),
-                        );
-                        self.timed_actions.insert(pid, then);
+                        self.procs.set_state(pid, ProcState::Sleeping(TIMED_SLEEP));
+                        self.check_wait_state(pid);
                         let at = until.max(self.q.now());
                         self.q.schedule(at, Event::TimedWake { pid });
                         self.try_dispatch();
@@ -1147,13 +1153,13 @@ impl Kernel {
             KWork::ItimerFire { pid } => {
                 self.post_signal(pid, Sig::Alrm);
                 // Re-arm if still active.
-                let period = self.procs.get(pid).and_then(|p| p.itimer);
-                if let Some(period) = period {
-                    let ticks = self.dur_to_ticks(period);
-                    let id = self
-                        .callout
-                        .schedule(self.tick, ticks, KWork::ItimerFire { pid });
-                    self.itimer_callouts.insert(pid, id);
+                let interval = self
+                    .procs
+                    .get(pid)
+                    .and_then(|p| p.itimer)
+                    .map(|t| t.interval);
+                if let Some(interval) = interval {
+                    let ticks = self.arm_itimer(pid, interval);
                     self.note(TraceEvent::CalloutArm { delay_ticks: ticks });
                 }
             }
@@ -1166,22 +1172,56 @@ impl Kernel {
         (d.as_ns() / self.cfg.machine.tick().as_ns()).max(1)
     }
 
+    /// (Re-)arms `pid`'s interval timer to fire `interval` from the
+    /// current tick, recording the interval and the armed callout in the
+    /// process. Returns the delay in ticks.
+    pub(crate) fn arm_itimer(&mut self, pid: Pid, interval: Dur) -> u64 {
+        let ticks = self.dur_to_ticks(interval);
+        let callout = self
+            .callout
+            .schedule(self.tick, ticks, KWork::ItimerFire { pid });
+        self.procs.must_mut(pid).itimer = Some(kproc::Itimer { interval, callout });
+        ticks
+    }
+
+    /// A timed sleep expired: its wake action is already stored, so the
+    /// process only has to become runnable.
     fn on_timed_wake(&mut self, pid: Pid) {
-        let Some(action) = self.timed_actions.remove(&pid) else {
+        debug_assert_eq!(
+            self.procs.must(pid).state,
+            ProcState::Sleeping(TIMED_SLEEP),
+            "stale timed wake"
+        );
+        self.check_wait_state(pid);
+        self.procs.set_state(pid, ProcState::Runnable);
+        self.enter_runq(pid);
+    }
+
+    /// Debug builds: the wait-state invariants, checked for `pid` at each
+    /// sleep, wake and exit. A sleeping process has a wake action (the
+    /// map holds at most one), an exited one has none, and the
+    /// after-chunk slot belongs to the syscall chunk on the CPU.
+    fn check_wait_state(&self, pid: Pid) {
+        if !cfg!(debug_assertions) {
             return;
-        };
-        match action {
-            WakeAction::Deliver(ret) => {
-                self.pending_after.insert(pid, AfterCpu::Deliver(ret));
-            }
-            WakeAction::Resume(cont) => {
-                self.conts.insert(pid, cont);
-            }
         }
-        if matches!(self.procs.must(pid).state, ProcState::Sleeping(_)) {
-            self.procs.set_state(pid, ProcState::Runnable);
-            self.enter_runq(pid);
-        }
+        let state = self.procs.must(pid).state;
+        let waits = self.wake.contains_key(&pid);
+        debug_assert!(
+            waits || !matches!(state, ProcState::Sleeping(_)),
+            "{pid:?} sleeps with no wake action"
+        );
+        debug_assert!(
+            !waits || !matches!(state, ProcState::Exited(_)),
+            "exited {pid:?} has a wake action"
+        );
+        debug_assert!(
+            self.after.as_ref().is_none_or(|(owner, _)| self
+                .sched
+                .current()
+                .is_some_and(|r| r.pid == *owner && r.kind == RunKind::SyscallCpu)),
+            "the after-chunk slot outlived its syscall chunk"
+        );
     }
 
     fn dispatch_event(&mut self, ev: Event) {

@@ -231,8 +231,9 @@ pub struct ObsMetrics {
     pub spans_dropped: u64,
     /// End-to-end request latency (every request, sampled or not).
     pub request_latency: HistSummary,
-    /// `(conn, trace_seq)` of the exemplar witnessing the p999 bucket.
-    pub p999_exemplar: Option<(u32, u64)>,
+    /// `(conn, trace_seq)` of the exemplar witnessing the p999 bucket;
+    /// the trace link is `None` when the trace ring was off.
+    pub p999_exemplar: Option<(u32, Option<u64>)>,
 }
 
 /// Latency distributions (ns), as compact digests.
@@ -440,7 +441,7 @@ impl MetricsSnapshot {
                 match o.p999_exemplar {
                     Some((conn, seq)) => Json::obj()
                         .with("conn", Json::Num(conn as f64))
-                        .with("trace_seq", Json::Num(seq as f64)),
+                        .with("trace_seq", seq.map_or(Json::Null, |s| Json::Num(s as f64))),
                     None => Json::Null,
                 },
             );
@@ -618,7 +619,7 @@ mod tests {
     #[test]
     fn populated_obs_section_carries_exemplar() {
         let mut snap = MetricsSnapshot::default();
-        snap.obs.p999_exemplar = Some((7, 4242));
+        snap.obs.p999_exemplar = Some((7, Some(4242)));
         let doc = snap.to_json();
         let parsed = Json::parse(&doc.render()).unwrap();
         let ex = parsed
@@ -627,5 +628,11 @@ mod tests {
             .expect("exemplar object");
         assert_eq!(ex.get("conn").and_then(Json::as_u64), Some(7));
         assert_eq!(ex.get("trace_seq").and_then(Json::as_u64), Some(4242));
+        // An untraced run's exemplar names its connection but no trace
+        // record.
+        snap.obs.p999_exemplar = Some((7, None));
+        let parsed = Json::parse(&snap.to_json().render()).unwrap();
+        let ex = parsed.get("obs").and_then(|o| o.get("p999_exemplar"));
+        assert_eq!(ex.and_then(|e| e.get("trace_seq")), Some(&Json::Null));
     }
 }

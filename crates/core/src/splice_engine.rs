@@ -389,10 +389,10 @@ impl Kernel {
                         ret: SyscallRet::Val(0),
                     }
                 } else {
-                    self.conts.insert(pid, Cont::SpliceSync { ring, desc });
                     SyscallOutcome::Block {
                         cpu: m.syscall + cpu,
                         chan: Chan::new(ChanSpace::Ring, ring),
+                        cont: Cont::SpliceSync { ring, desc },
                     }
                 }
             }
@@ -424,7 +424,7 @@ impl Kernel {
     /// transfer finished, or go back to sleep. An aborted splice reports
     /// its typed errno — never a success value — and leaves the exact
     /// partial byte count in [`Kernel::splice_outcome`].
-    pub(crate) fn resume_splice_sync(&mut self, pid: Pid, ring: u64, desc: u64) -> SyscallOutcome {
+    pub(crate) fn resume_splice_sync(&mut self, ring: u64, desc: u64) -> SyscallOutcome {
         match self.splice_outcome(desc) {
             OutcomeStatus::Done(o) => {
                 // Drop the latched CQE: the blocking caller *is* the
@@ -439,13 +439,11 @@ impl Kernel {
                     ret,
                 }
             }
-            OutcomeStatus::Pending => {
-                self.conts.insert(pid, Cont::SpliceSync { ring, desc });
-                SyscallOutcome::Block {
-                    cpu: Dur::ZERO,
-                    chan: Chan::new(ChanSpace::Ring, ring),
-                }
-            }
+            OutcomeStatus::Pending => SyscallOutcome::Block {
+                cpu: Dur::ZERO,
+                chan: Chan::new(ChanSpace::Ring, ring),
+                cont: Cont::SpliceSync { ring, desc },
+            },
             // The descriptor vanished without latching an outcome (it
             // cannot under normal operation): report zero, don't hang.
             OutcomeStatus::Unknown => SyscallOutcome::Done {

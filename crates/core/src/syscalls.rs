@@ -2,7 +2,7 @@
 //!
 //! Calls run in the calling process's context: their CPU cost becomes a
 //! `SyscallCpu` chunk, and calls that must wait either sleep on a channel
-//! (with a `Cont` recording how to resume) or sleep until a known
+//! (returning the `Cont` that resumes them) or sleep until a known
 //! instant (metadata I/O, device pacing). The read/write paths move real
 //! bytes through the buffer cache, charging `copyin`/`copyout` at the
 //! machine profile's rates — the costs splice exists to remove.
@@ -16,17 +16,20 @@ use knet::{Datagram, NetErr, SockId};
 use kproc::{Chan, ChanSpace, Errno, FcntlCmd, Fd, OpenFlags, Pid, Sig, SyscallReq, SyscallRet};
 use ksim::{Dur, SimTime, TraceEvent};
 
-use crate::event::{Event, KWork};
+use crate::event::Event;
 use crate::kernel::{IoCtx, Kernel};
 use crate::objects::{CharDev, FileId, FileObj, OpenFile};
 
-/// Result of executing (part of) a system call.
+/// Result of executing (part of) a system call. A call that waits
+/// carries what it does when it next runs, so a block without a
+/// continuation cannot be written; `apply_syscall_outcome` is the one
+/// place that stores it.
 pub(crate) enum SyscallOutcome {
     /// Finished: charge `cpu`, then deliver `ret`.
     Done { cpu: Dur, ret: SyscallRet },
-    /// Charge `cpu`, then sleep on `chan`; a [`Cont`] stored by the caller
-    /// resumes the call.
-    Block { cpu: Dur, chan: Chan },
+    /// Charge `cpu`, then sleep on `chan`; `cont` resumes the call after
+    /// the wakeup.
+    Block { cpu: Dur, chan: Chan, cont: Cont },
     /// Charge `cpu`, then sleep until `until`, then perform `then`.
     BlockUntil {
         cpu: Dur,
@@ -35,26 +38,30 @@ pub(crate) enum SyscallOutcome {
     },
 }
 
-/// What happens when a timed sleep expires.
+/// What a blocked process does when it next runs: the kernel's one
+/// per-process record of a call in progress, held from the block until
+/// the process is dispatched again.
 pub(crate) enum WakeAction {
-    /// Deliver a return value to the program.
+    /// Deliver a return value to the program (a timed sleep's result).
     Deliver(SyscallRet),
     /// Resume the system call from this continuation.
     Resume(Cont),
 }
 
-/// What happens when the syscall-CPU chunk of the current call finishes.
+/// What happens when the syscall-CPU chunk on the CPU finishes. There is
+/// one CPU, so the kernel holds at most one of these, beside the pid
+/// whose chunk it follows.
 pub(crate) enum AfterCpu {
     /// Deliver the return value and keep running.
     Deliver(SyscallRet),
     /// Sleep on a channel.
     Sleep(Chan),
     /// Sleep until an instant.
-    SleepUntil { until: SimTime, then: WakeAction },
+    SleepUntil(SimTime),
     /// The channel this call was about to sleep on was woken while the
     /// call's CPU chunk was still running (the classic lost-wakeup race,
-    /// which real kernels close with `splbio`): re-run the continuation
-    /// instead of sleeping.
+    /// which real kernels close with `splbio`): resume the call's wake
+    /// action at once instead of sleeping.
     Retry,
 }
 
@@ -123,6 +130,28 @@ pub(crate) struct WriteCont {
 
 use crate::splice_engine::fs_errno;
 
+/// The channel a call sleeps on for busy buffer `buf`, and that its
+/// release (or the `biodone` of its read) wakes.
+pub(crate) fn buf_chan(buf: BufId) -> Chan {
+    Chan::new(ChanSpace::Buf, buf.0 as u64)
+}
+
+/// The channel a call sleeps on when no buffer was free.
+pub(crate) const ANY_BUF: Chan = Chan::new(ChanSpace::AnyBuf, 0);
+
+/// Where a `bread` that did not produce the block leaves its caller: the
+/// channel to sleep on, and the buffer it holds across the `biowait` of
+/// its own read (`None` while it waits for another holder's buffer or a
+/// free one).
+pub(crate) fn bread_wait(out: BreadOutcome) -> (Chan, Option<BufId>) {
+    match out {
+        BreadOutcome::Miss(buf) => (buf_chan(buf), Some(buf)),
+        BreadOutcome::Busy(buf) => (buf_chan(buf), None),
+        BreadOutcome::NoBuffers => (ANY_BUF, None),
+        BreadOutcome::Hit(_) => unreachable!("a hit has the block"),
+    }
+}
+
 fn net_errno(e: NetErr) -> Errno {
     match e {
         NetErr::BadSocket => Errno::Ebadf,
@@ -172,7 +201,7 @@ impl Kernel {
                     wait_buf: None,
                     issued_at: None,
                 };
-                self.do_read(pid, cont, base)
+                self.do_read(cont, base)
             }
             SyscallReq::Write { fd, data } => {
                 let Some(fid) = self.fid_of(pid, fd) else {
@@ -185,7 +214,7 @@ impl Kernel {
                     rmw_buf: None,
                     kernel_data: false,
                 };
-                self.do_write(pid, cont, base)
+                self.do_write(cont, base)
             }
             SyscallReq::Lseek { fd, pos } => {
                 let Some(fid) = self.fid_of(pid, fd) else {
@@ -216,7 +245,7 @@ impl Kernel {
                 let Some(fid) = self.fid_of(pid, fd) else {
                     return self.err(Errno::Ebadf);
                 };
-                self.do_fsync(pid, fid, base)
+                self.do_fsync(fid, base)
             }
             SyscallReq::Fcntl { fd, cmd } => {
                 let Some(fid) = self.fid_of(pid, fd) else {
@@ -253,18 +282,11 @@ impl Kernel {
                 }
             }
             SyscallReq::SetItimer { interval } => {
-                if let Some(id) = self.itimer_callouts.remove(&pid) {
-                    self.callout.cancel(id);
+                if let Some(timer) = self.procs.must_mut(pid).itimer.take() {
+                    self.callout.cancel(timer.callout);
                 }
-                if interval.is_zero() {
-                    self.procs.must_mut(pid).itimer = None;
-                } else {
-                    self.procs.must_mut(pid).itimer = Some(interval);
-                    let ticks = self.dur_to_ticks(interval);
-                    let id = self
-                        .callout
-                        .schedule(self.tick, ticks, KWork::ItimerFire { pid });
-                    self.itimer_callouts.insert(pid, id);
+                if !interval.is_zero() {
+                    self.arm_itimer(pid, interval);
                 }
                 SyscallOutcome::Done {
                     cpu: base,
@@ -280,10 +302,10 @@ impl Kernel {
                         ret: SyscallRet::Val(0),
                     };
                 }
-                self.conts.insert(pid, Cont::Pause);
                 SyscallOutcome::Block {
                     cpu: base,
                     chan: Chan::new(ChanSpace::Pause, pid.0 as u64),
+                    cont: Cont::Pause,
                 }
             }
             SyscallReq::Sigaction { sig, catch } => {
@@ -378,7 +400,7 @@ impl Kernel {
                 let Some(fid) = self.fid_of(pid, fd) else {
                     return self.err(Errno::Ebadf);
                 };
-                self.do_recv(pid, fid, max_len, base)
+                self.do_recv(fid, max_len, base)
             }
             SyscallReq::Fstat(fd) => {
                 let Some(fid) = self.fid_of(pid, fd) else {
@@ -399,20 +421,20 @@ impl Kernel {
                 let Some(fid) = self.fid_of(pid, fd) else {
                     return self.err(Errno::Ebadf);
                 };
-                self.do_handle_read(pid, fid, base)
+                self.do_handle_read(fid, None, base)
             }
             SyscallReq::HandleWrite { fd, handle } => {
                 let Some(fid) = self.fid_of(pid, fd) else {
                     return self.err(Errno::Ebadf);
                 };
-                self.do_handle_write(pid, fid, handle, base)
+                self.do_handle_write(fid, handle, base)
             }
             SyscallReq::MmapFault { src, dst, len } => {
                 let (Some(sfid), Some(dfid)) = (self.fid_of(pid, src), self.fid_of(pid, dst))
                 else {
                     return self.err(Errno::Ebadf);
                 };
-                self.do_mmap_fault(pid, sfid, dfid, len)
+                self.do_mmap_fault(sfid, dfid, len, None)
             }
         }
     }
@@ -428,27 +450,25 @@ impl Kernel {
     /// Resumes a blocked call after a wakeup.
     pub(crate) fn resume_cont(&mut self, pid: Pid, cont: Cont) -> SyscallOutcome {
         match cont {
-            Cont::Read(c) => self.do_read(pid, c, Dur::ZERO),
-            Cont::Write(c) => self.do_write(pid, c, Dur::ZERO),
-            Cont::Fsync { fid } => self.do_fsync(pid, fid, Dur::ZERO),
-            Cont::SpliceSync { ring, desc } => self.resume_splice_sync(pid, ring, desc),
-            Cont::RingReap { ring, min } => self.resume_ring_reap(pid, ring, min),
+            Cont::Read(c) => self.do_read(c, Dur::ZERO),
+            Cont::Write(c) => self.do_write(c, Dur::ZERO),
+            Cont::Fsync { fid } => self.do_fsync(fid, Dur::ZERO),
+            Cont::SpliceSync { ring, desc } => self.resume_splice_sync(ring, desc),
+            Cont::RingReap { ring, min } => self.ring_try_reap(ring, min, Dur::ZERO),
             Cont::Pause => SyscallOutcome::Done {
                 cpu: self.cfg.machine.buf_op,
                 ret: SyscallRet::Val(0),
             },
-            Cont::Recv { fid, max_len } => self.do_recv(pid, fid, max_len, Dur::ZERO),
+            Cont::Recv { fid, max_len } => self.do_recv(fid, max_len, Dur::ZERO),
             Cont::Accept { fid } => self.do_accept(pid, fid, true, Dur::ZERO),
             Cont::Send { sock, data } => self.do_send(sock, data, Dur::ZERO),
-            Cont::HandleRead { fid, wait_buf } => {
-                self.do_handle_read_resume(pid, fid, wait_buf, Dur::ZERO)
-            }
+            Cont::HandleRead { fid, wait_buf } => self.do_handle_read(fid, wait_buf, Dur::ZERO),
             Cont::MmapFault {
                 src_fid,
                 dst_fid,
                 len,
                 wait_buf,
-            } => self.do_mmap_fault_resume(pid, src_fid, dst_fid, len, wait_buf),
+            } => self.do_mmap_fault(src_fid, dst_fid, len, wait_buf),
         }
     }
 
@@ -593,7 +613,7 @@ impl Kernel {
 
     // ----- read -----------------------------------------------------------------
 
-    fn do_read(&mut self, pid: Pid, c: ReadCont, base: Dur) -> SyscallOutcome {
+    fn do_read(&mut self, c: ReadCont, base: Dur) -> SyscallOutcome {
         let mut cpu = base;
         let Some(of) = self.files.get(c.fid) else {
             return self.err(Errno::Ebadf);
@@ -602,7 +622,7 @@ impl Kernel {
             return self.err(Errno::Ebadf);
         }
         match of.obj {
-            FileObj::File { disk, ino } => self.file_read(pid, c, cpu, disk, ino),
+            FileObj::File { disk, ino } => self.file_read(c, cpu, disk, ino),
             FileObj::Chr { cdev } => {
                 let now = self.q.now();
                 match &mut self.cdevs[cdev].dev {
@@ -618,13 +638,12 @@ impl Kernel {
                     _ => self.err(Errno::Enotsup),
                 }
             }
-            FileObj::Sock { .. } => self.do_recv(pid, c.fid, c.want, cpu),
+            FileObj::Sock { .. } => self.do_recv(c.fid, c.want, cpu),
         }
     }
 
     fn file_read(
         &mut self,
-        pid: Pid,
         mut c: ReadCont,
         mut cpu: Dur,
         disk: usize,
@@ -640,16 +659,7 @@ impl Kernel {
             if let Some(at) = c.issued_at.take() {
                 self.kstat.read_wait.record(self.q.now().since(at).as_ns());
             }
-            let data = self.cache.data(buf);
-            c.got.extend_from_slice(&data.bytes()[boff..boff + take]);
-            cpu += m.copy_cost(CopyKind::Copyout, take);
-            self.counts.copy.copyout_bytes += take as u64;
-            let mut fx = Vec::new();
-            self.cache.brelse(buf, &mut fx);
-            let sync = self.apply_cache_effects(fx, IoCtx::Process);
-            cpu += sync;
-            let of = self.files.get_mut(c.fid).unwrap();
-            of.offset += take as u64;
+            cpu += self.copyout_block(&mut c, buf, boff, take);
         }
 
         loop {
@@ -703,62 +713,46 @@ impl Kernel {
             let out = self.cache.bread(dev, pblk, bs, &mut fx);
             let sync = self.apply_cache_effects(fx, IoCtx::Process);
             cpu += sync + m.buf_op;
+            if matches!(out, BreadOutcome::Hit(_) | BreadOutcome::Miss(_)) {
+                self.files.get_mut(c.fid).unwrap().last_lblk = Some(lblk);
+            }
             match out {
-                BreadOutcome::Hit(buf) => {
-                    let data = self.cache.data(buf);
-                    c.got.extend_from_slice(&data.bytes()[boff..boff + take]);
-                    drop(data);
-                    cpu += m.copy_cost(CopyKind::Copyout, take);
-                    self.counts.copy.copyout_bytes += take as u64;
-                    let mut fx = Vec::new();
-                    self.cache.brelse(buf, &mut fx);
-                    cpu += self.apply_cache_effects(fx, IoCtx::Process);
-                    let of = self.files.get_mut(c.fid).unwrap();
-                    of.offset += take as u64;
-                    of.last_lblk = Some(lblk);
+                // A hit, or a miss the RAM disk completed synchronously:
+                // use the block now.
+                BreadOutcome::Hit(buf) | BreadOutcome::Miss(buf) if self.cache.io_done(buf) => {
+                    cpu += self.copyout_block(&mut c, buf, boff, take);
                 }
-                BreadOutcome::Miss(buf) => {
-                    self.files.get_mut(c.fid).unwrap().last_lblk = Some(lblk);
-                    if self.cache.io_done(buf) {
-                        // RAM disk completed synchronously; use it now.
-                        let data = self.cache.data(buf);
-                        c.got.extend_from_slice(&data.bytes()[boff..boff + take]);
-                        drop(data);
-                        cpu += m.copy_cost(CopyKind::Copyout, take);
-                        self.counts.copy.copyout_bytes += take as u64;
-                        let mut fx = Vec::new();
-                        self.cache.brelse(buf, &mut fx);
-                        cpu += self.apply_cache_effects(fx, IoCtx::Process);
-                        let of = self.files.get_mut(c.fid).unwrap();
-                        of.offset += take as u64;
-                    } else {
-                        // biowait: sleep until the interrupt side wakes us.
-                        c.wait_buf = Some((buf, boff, take));
-                        c.issued_at = Some(self.q.now());
-                        let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                        self.conts.insert(pid, Cont::Read(c));
-                        return SyscallOutcome::Block { cpu, chan };
-                    }
-                }
-                BreadOutcome::Busy(buf) => {
-                    let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                    self.conts.insert(pid, Cont::Read(c));
-                    return SyscallOutcome::Block { cpu, chan };
-                }
-                BreadOutcome::NoBuffers => {
-                    self.conts.insert(pid, Cont::Read(c));
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::AnyBuf, 0),
-                    };
+                out => {
+                    // biowait on our own read holds the buffer; otherwise
+                    // wait for someone else's buffer or a free one.
+                    let (chan, held) = bread_wait(out);
+                    c.wait_buf = held.map(|buf| (buf, boff, take));
+                    c.issued_at = held.map(|_| self.q.now());
+                    let cont = Cont::Read(c);
+                    return SyscallOutcome::Block { cpu, chan, cont };
                 }
             }
         }
     }
 
+    /// Copies `take` bytes at `boff` of held buffer `buf` out to the
+    /// reader, releases the buffer and advances the file offset. Returns
+    /// the CPU charged.
+    fn copyout_block(&mut self, c: &mut ReadCont, buf: BufId, boff: usize, take: usize) -> Dur {
+        c.got
+            .extend_from_slice(&self.cache.data(buf).bytes()[boff..boff + take]);
+        self.counts.copy.copyout_bytes += take as u64;
+        let mut fx = Vec::new();
+        self.cache.brelse(buf, &mut fx);
+        let cpu = self.cfg.machine.copy_cost(CopyKind::Copyout, take)
+            + self.apply_cache_effects(fx, IoCtx::Process);
+        self.files.get_mut(c.fid).unwrap().offset += take as u64;
+        cpu
+    }
+
     // ----- write -----------------------------------------------------------------
 
-    pub(crate) fn do_write(&mut self, pid: Pid, c: WriteCont, base: Dur) -> SyscallOutcome {
+    pub(crate) fn do_write(&mut self, c: WriteCont, base: Dur) -> SyscallOutcome {
         let Some(of) = self.files.get(c.fid) else {
             return self.err(Errno::Ebadf);
         };
@@ -766,15 +760,14 @@ impl Kernel {
             return self.err(Errno::Ebadf);
         }
         match of.obj {
-            FileObj::File { disk, ino } => self.file_write(pid, c, base, disk, ino),
-            FileObj::Chr { cdev } => self.cdev_write(pid, c, base, cdev),
+            FileObj::File { disk, ino } => self.file_write(c, base, disk, ino),
+            FileObj::Chr { cdev } => self.cdev_write(c, base, cdev),
             FileObj::Sock { sock } => self.do_send(sock, c.data, base),
         }
     }
 
     fn file_write(
         &mut self,
-        pid: Pid,
         mut c: WriteCont,
         mut cpu: Dur,
         disk: usize,
@@ -826,30 +819,14 @@ impl Kernel {
                 let out = self.cache.bread(dev, pblk, bs, &mut fx);
                 cpu += self.apply_cache_effects(fx, IoCtx::Process) + m.buf_op;
                 match out {
-                    BreadOutcome::Hit(buf) => {
+                    BreadOutcome::Hit(buf) | BreadOutcome::Miss(buf) if self.cache.io_done(buf) => {
                         cpu += self.finish_block_write(&mut c, buf, boff, take, disk, ino);
                     }
-                    BreadOutcome::Miss(buf) => {
-                        if self.cache.io_done(buf) {
-                            cpu += self.finish_block_write(&mut c, buf, boff, take, disk, ino);
-                        } else {
-                            c.rmw_buf = Some((buf, boff, take));
-                            let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                            self.conts.insert(pid, Cont::Write(c));
-                            return SyscallOutcome::Block { cpu, chan };
-                        }
-                    }
-                    BreadOutcome::Busy(buf) => {
-                        let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                        self.conts.insert(pid, Cont::Write(c));
-                        return SyscallOutcome::Block { cpu, chan };
-                    }
-                    BreadOutcome::NoBuffers => {
-                        self.conts.insert(pid, Cont::Write(c));
-                        return SyscallOutcome::Block {
-                            cpu,
-                            chan: Chan::new(ChanSpace::AnyBuf, 0),
-                        };
+                    out => {
+                        let (chan, held) = bread_wait(out);
+                        c.rmw_buf = held.map(|buf| (buf, boff, take));
+                        let cont = Cont::Write(c);
+                        return SyscallOutcome::Block { cpu, chan, cont };
                     }
                 }
                 continue;
@@ -870,15 +847,19 @@ impl Kernel {
                     cpu += self.finish_block_write(&mut c, buf, boff, take, disk, ino);
                 }
                 GetblkOutcome::Busy(buf) => {
-                    let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                    self.conts.insert(pid, Cont::Write(c));
-                    return SyscallOutcome::Block { cpu, chan };
-                }
-                GetblkOutcome::NoBuffers => {
-                    self.conts.insert(pid, Cont::Write(c));
+                    let cont = Cont::Write(c);
                     return SyscallOutcome::Block {
                         cpu,
-                        chan: Chan::new(ChanSpace::AnyBuf, 0),
+                        chan: buf_chan(buf),
+                        cont,
+                    };
+                }
+                GetblkOutcome::NoBuffers => {
+                    let cont = Cont::Write(c);
+                    return SyscallOutcome::Block {
+                        cpu,
+                        chan: ANY_BUF,
+                        cont,
                     };
                 }
             }
@@ -931,13 +912,7 @@ impl Kernel {
         cpu
     }
 
-    fn cdev_write(
-        &mut self,
-        _pid: Pid,
-        mut c: WriteCont,
-        base: Dur,
-        cdev: usize,
-    ) -> SyscallOutcome {
+    fn cdev_write(&mut self, mut c: WriteCont, base: Dur, cdev: usize) -> SyscallOutcome {
         let now = self.q.now();
         let len = c.data.len() - c.done;
         let copy = self.cfg.machine.copy_cost(CopyKind::Copyin, len);
@@ -981,7 +956,7 @@ impl Kernel {
 
     // ----- fsync -----------------------------------------------------------------
 
-    fn do_fsync(&mut self, pid: Pid, fid: FileId, base: Dur) -> SyscallOutcome {
+    fn do_fsync(&mut self, fid: FileId, base: Dur) -> SyscallOutcome {
         let Some(of) = self.files.get(fid) else {
             return self.err(Errno::Ebadf);
         };
@@ -1003,10 +978,10 @@ impl Kernel {
             cpu += self.apply_cache_effects(fx, IoCtx::Process) + m.buf_op;
         }
         if self.disks[disk].write_inflight > 0 {
-            self.conts.insert(pid, Cont::Fsync { fid });
             return SyscallOutcome::Block {
                 cpu,
                 chan: Chan::new(ChanSpace::Fsync, disk as u64),
+                cont: Cont::Fsync { fid },
             };
         }
 
@@ -1119,8 +1094,9 @@ impl Kernel {
                     },
                 );
                 // Stage the request span: accept is the span's birth,
-                // and the current trace seq is its exemplar link.
-                let seq = self.trace.emitted();
+                // and the current trace seq, while the ring records, is
+                // its exemplar link.
+                let seq = self.trace.enabled().then(|| self.trace.emitted());
                 let obs_cost = self.obs.note_accept(self.q.now(), conn.0, seq);
                 SyscallOutcome::Done {
                     cpu: base + self.cfg.machine.udp_packet + obs_cost,
@@ -1131,18 +1107,16 @@ impl Kernel {
                 cpu: base,
                 ret: SyscallRet::Err(Errno::Eagain),
             },
-            Ok(None) => {
-                self.conts.insert(pid, Cont::Accept { fid });
-                SyscallOutcome::Block {
-                    cpu: base,
-                    chan: Chan::new(ChanSpace::Accept, sock.0 as u64),
-                }
-            }
+            Ok(None) => SyscallOutcome::Block {
+                cpu: base,
+                chan: Chan::new(ChanSpace::Accept, sock.0 as u64),
+                cont: Cont::Accept { fid },
+            },
             Err(e) => self.err(net_errno(e)),
         }
     }
 
-    fn do_recv(&mut self, pid: Pid, fid: FileId, max_len: usize, base: Dur) -> SyscallOutcome {
+    fn do_recv(&mut self, fid: FileId, max_len: usize, base: Dur) -> SyscallOutcome {
         let Some(of) = self.files.get(fid) else {
             return self.err(Errno::Ebadf);
         };
@@ -1160,10 +1134,10 @@ impl Kernel {
                 ret: SyscallRet::Data(d.data[..n].to_vec()),
             };
         }
-        self.conts.insert(pid, Cont::Recv { fid, max_len });
         SyscallOutcome::Block {
             cpu: base,
             chan: Chan::new(ChanSpace::SockRecv, sock.0 as u64),
+            cont: Cont::Recv { fid, max_len },
         }
     }
 

@@ -9,7 +9,9 @@ use std::rc::Rc;
 use kdev::AudioDac;
 use khw::DiskProfile;
 use kproc::programs::{Cp, CpuBound, Scp};
-use kproc::{Fd, OpenFlags, Pid, ProcState, Program, Sig, Step, SyscallReq, UserCtx};
+use kproc::{
+    Fd, OpenFlags, Pid, ProcState, Program, Sig, SockAddr, Step, SyscallReq, SyscallRet, UserCtx,
+};
 use ksim::{Dur, SimTime, TraceEvent, TraceRecord};
 use splice::{Kernel, KernelBuilder, KernelConfig};
 
@@ -406,5 +408,192 @@ fn a_wakeup_in_the_context_switch_window_is_weighed_at_dispatch() {
     assert!(
         write_returned < Dur::from_ms(5),
         "the write took {write_returned} to return"
+    );
+}
+
+// ----- the lost-wakeup closure ------------------------------------------------
+
+/// The trace records between `from` and `to` in which `pid` went to
+/// sleep.
+fn sleeps_of(k: &Kernel, pid: Pid, from: SimTime, to: SimTime) -> usize {
+    k.trace()
+        .records()
+        .filter(|r| r.at >= from && r.at <= to)
+        .filter(|r| matches!(r.ev, TraceEvent::SchedSleep { pid: p, .. } if p == pid.0))
+        .count()
+}
+
+/// Sends one datagram to its own bound socket over a link whose latency
+/// lands the arrival inside the `recv` call's CPU chunk, then receives
+/// it. Records when the `recv` was issued and what it returned.
+struct RacedRecv {
+    st: u32,
+    rx: Option<Fd>,
+    tx: Option<Fd>,
+    payload: Vec<u8>,
+    issued: SimTime,
+    /// (issued, returned, value) of the `recv`.
+    recv: Rc<RefCell<Option<(SimTime, SimTime, SyscallRet)>>>,
+}
+
+impl Program for RacedRecv {
+    fn step(&mut self, ctx: &mut UserCtx) -> Step {
+        self.st += 1;
+        let ret = ctx.ret.take();
+        match self.st {
+            1 => Step::Syscall(SyscallReq::Socket),
+            2 => {
+                self.rx = ret.and_then(|r| r.as_fd());
+                Step::Syscall(SyscallReq::Bind {
+                    fd: self.rx.unwrap(),
+                    port: 7,
+                })
+            }
+            3 => Step::Syscall(SyscallReq::Socket),
+            4 => {
+                self.tx = ret.and_then(|r| r.as_fd());
+                Step::Syscall(SyscallReq::Connect {
+                    fd: self.tx.unwrap(),
+                    addr: SockAddr { host: 1, port: 7 },
+                })
+            }
+            5 => Step::Syscall(SyscallReq::Send {
+                fd: self.tx.unwrap(),
+                data: self.payload.clone(),
+            }),
+            6 => {
+                self.issued = ctx.now;
+                Step::Syscall(SyscallReq::Recv {
+                    fd: self.rx.unwrap(),
+                    max_len: 4096,
+                })
+            }
+            _ => {
+                let value = ret.expect("recv returned");
+                *self.recv.borrow_mut() = Some((self.issued, ctx.now, value));
+                Step::Exit(0)
+            }
+        }
+    }
+}
+
+#[test]
+fn a_completion_inside_the_blocking_calls_own_chunk_cancels_the_sleep() {
+    let m = KernelConfig::default().machine;
+    let payload: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+    // The send's chunk ends, and the recv's 40 us chunk begins, `send`
+    // after the send was issued; the datagram arrives 20 us into it.
+    let send = m.syscall + m.udp_packet + m.copy_cost(khw::CopyKind::Net, payload.len());
+    let mut k = KernelBuilder::new().trace(100_000).build();
+    k.net_mut().set_link_model(
+        1,
+        knet::LinkModel {
+            bps: 1 << 40,
+            base_latency: send + m.syscall / 2,
+            jitter: Dur::ZERO,
+            loss_ppm: 0,
+            seed: 1,
+        },
+    );
+    let recv = Rc::new(RefCell::new(None));
+    let pid = k.spawn(Box::new(RacedRecv {
+        st: 0,
+        rx: None,
+        tx: None,
+        payload: payload.clone(),
+        issued: SimTime::ZERO,
+        recv: Rc::clone(&recv),
+    }));
+    let horizon = k.horizon(5);
+    k.run_until_exit_of(pid, horizon);
+
+    assert!(
+        k.metrics().sched.wakeup_races > 0,
+        "the datagram did not land inside the recv's chunk"
+    );
+    let (issued, returned, value) = recv.borrow().clone().expect("recv issued");
+    assert_eq!(
+        sleeps_of(&k, pid, issued, returned),
+        0,
+        "the recv slept though its datagram arrived before the sleep"
+    );
+    assert_eq!(
+        value,
+        SyscallRet::Data(payload),
+        "recv returned other bytes"
+    );
+}
+
+/// Catches SIGALRM, arms a one-tick interval timer, computes until just
+/// before the tick, and enters `pause(2)`: the timer's signal lands
+/// inside the pause's CPU chunk. Records when the pause was issued, when
+/// it returned, and whether SIGALRM arrived with the return.
+struct RacedPause {
+    st: u32,
+    tick: Dur,
+    issued: SimTime,
+    /// (issued, returned, SIGALRM delivered) of the `pause`.
+    pause: Rc<RefCell<Option<(SimTime, SimTime, bool)>>>,
+}
+
+impl Program for RacedPause {
+    fn step(&mut self, ctx: &mut UserCtx) -> Step {
+        self.st += 1;
+        ctx.ret.take();
+        match self.st {
+            1 => Step::Syscall(SyscallReq::Sigaction {
+                sig: Sig::Alrm,
+                catch: true,
+            }),
+            2 => Step::Syscall(SyscallReq::SetItimer {
+                interval: self.tick,
+            }),
+            // The timer fires at the first clock tick; stop 20 us short.
+            3 => Step::Compute((SimTime::ZERO + self.tick - Dur::from_us(20)).since(ctx.now)),
+            4 => {
+                self.issued = ctx.now;
+                Step::Syscall(SyscallReq::Pause)
+            }
+            5 => {
+                let got = ctx.got_signal(Sig::Alrm);
+                *self.pause.borrow_mut() = Some((self.issued, ctx.now, got));
+                Step::Syscall(SyscallReq::SetItimer {
+                    interval: Dur::ZERO,
+                })
+            }
+            _ => Step::Exit(0),
+        }
+    }
+}
+
+#[test]
+fn a_signal_inside_the_pause_calls_own_chunk_cancels_the_sleep() {
+    let tick = KernelConfig::default().machine.tick();
+    let mut k = KernelBuilder::new().trace(100_000).build();
+    let pause = Rc::new(RefCell::new(None));
+    let pid = k.spawn(Box::new(RacedPause {
+        st: 0,
+        tick,
+        issued: SimTime::ZERO,
+        pause: Rc::clone(&pause),
+    }));
+    let horizon = k.horizon(5);
+    k.run_until_exit_of(pid, horizon);
+
+    let (issued, returned, got) = pause.borrow().expect("pause issued");
+    assert!(
+        issued < SimTime::ZERO + tick && returned > SimTime::ZERO + tick,
+        "the pause ({issued}..{returned}) did not span the tick"
+    );
+    assert!(got, "SIGALRM did not arrive with the pause's return");
+    assert_eq!(
+        sleeps_of(&k, pid, issued, returned),
+        0,
+        "the pause slept though its signal arrived before the sleep"
+    );
+    assert!(
+        returned.since(issued) < tick,
+        "the pause waited {} for a later signal",
+        returned.since(issued)
     );
 }

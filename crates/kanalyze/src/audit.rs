@@ -476,7 +476,7 @@ mod tests {
         // latency puts the sampled and full p99 in the same bucket, so
         // the audit must agree exactly at any sampling period.
         for conn in 0..256u32 {
-            obs.note_accept(SimTime::ZERO, conn, conn as u64);
+            obs.note_accept(SimTime::ZERO, conn, Some(conn as u64));
             if conn % 16 == 0 {
                 obs.note_transfer(conn, 0, Some("EPIPE"));
             } else {
@@ -509,7 +509,7 @@ mod tests {
         // head-sampled spans, so the p99 comparison must not fail on
         // an empty digest.
         for conn in 0..8u32 {
-            obs.note_accept(SimTime::ZERO, conn, conn as u64);
+            obs.note_accept(SimTime::ZERO, conn, Some(conn as u64));
             obs.note_close(SimTime::ZERO + Dur::from_ms(2), conn);
         }
         let tol = Tolerance {

@@ -36,7 +36,7 @@ pub mod sched;
 pub mod types;
 
 pub use cpu::{Admit, CpuEngine, CpuStats, KernelRun, WorkClass};
-pub use process::{ProcState, ProcTable, Process};
+pub use process::{Itimer, ProcState, ProcTable, Process};
 pub use program::{Program, Step, UserCtx};
 pub use sched::{CurrentRun, RunKind, Scheduler};
 pub use types::{

@@ -51,6 +51,16 @@ impl ProcAccounting {
     }
 }
 
+/// An armed repeating interval timer: its period and the callout that
+/// fires it next.
+#[derive(Clone, Copy, Debug)]
+pub struct Itimer {
+    /// Repeating period.
+    pub interval: Dur,
+    /// The armed callout (cancelled on disarm and at exit).
+    pub callout: ksim::CalloutId,
+}
+
 /// One process.
 pub struct Process {
     /// Identity.
@@ -66,8 +76,8 @@ pub struct Process {
     pub catches: Vec<Sig>,
     /// Signals delivered but not yet consumed by a `pause`/step.
     pub pending_sigs: Vec<Sig>,
-    /// Repeating interval timer period, if armed.
-    pub itimer: Option<Dur>,
+    /// The interval timer, if armed.
+    pub itimer: Option<Itimer>,
     /// User compute left over after a quantum preemption; resumed before
     /// the program is stepped again.
     pub pending_compute: Option<Dur>,

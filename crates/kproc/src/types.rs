@@ -59,7 +59,7 @@ pub struct Chan {
 
 impl Chan {
     /// Builds a channel.
-    pub fn new(space: ChanSpace, id: u64) -> Chan {
+    pub const fn new(space: ChanSpace, id: u64) -> Chan {
         Chan { space, id }
     }
 }

@@ -32,8 +32,9 @@ use crate::json::Json;
 pub struct Exemplar {
     /// The recorded sample (same unit as the histogram).
     pub value: u64,
-    /// Trace sequence number current when the sample was recorded.
-    pub trace_seq: u64,
+    /// Trace sequence number current when the sample's request began;
+    /// `None` when the trace ring was off, so there is nothing to link to.
+    pub trace_seq: Option<u64>,
     /// Connection (socket) id the sample belongs to.
     pub conn: u32,
 }
@@ -96,7 +97,7 @@ impl Hist {
     /// bucket keeps the largest-valued exemplar seen (first wins on
     /// ties), so the witness for a tail bucket is its worst case —
     /// deterministic under replay.
-    pub fn record_with_exemplar(&mut self, v: u64, trace_seq: u64, conn: u32) {
+    pub fn record_with_exemplar(&mut self, v: u64, trace_seq: Option<u64>, conn: u32) {
         self.record(v);
         let slots = self.exemplars.get_or_insert_with(|| Box::new([None; 64]));
         let slot = &mut slots[Self::bucket_of(v)];
@@ -436,12 +437,12 @@ mod tests {
     fn exemplars_witness_buckets_and_survive_merge() {
         let mut h = Hist::new();
         assert_eq!(h.exemplar(0), None, "no exemplars until offered");
-        h.record_with_exemplar(6, 100, 1); // bucket 2
-        h.record_with_exemplar(7, 101, 2); // bucket 2, larger value wins
-        h.record_with_exemplar(7, 102, 3); // tie: first winner kept
-        h.record_with_exemplar(1 << 20, 200, 9);
+        h.record_with_exemplar(6, Some(100), 1); // bucket 2
+        h.record_with_exemplar(7, Some(101), 2); // bucket 2, larger value wins
+        h.record_with_exemplar(7, Some(102), 3); // tie: first winner kept
+        h.record_with_exemplar(1 << 20, Some(200), 9);
         let e = h.exemplar(2).unwrap();
-        assert_eq!((e.value, e.trace_seq, e.conn), (7, 101, 2));
+        assert_eq!((e.value, e.trace_seq, e.conn), (7, Some(101), 2));
         assert_eq!(h.exemplar(3), None);
 
         // The tail exemplar links the top percentile to its request.
@@ -450,10 +451,10 @@ mod tests {
 
         // Merge keeps the larger witness per bucket.
         let mut other = Hist::new();
-        other.record_with_exemplar(5, 300, 7); // bucket 2, smaller: loses
-        other.record_with_exemplar(40, 301, 8); // bucket 5: fills a gap
+        other.record_with_exemplar(5, Some(300), 7); // bucket 2, smaller: loses
+        other.record_with_exemplar(40, Some(301), 8); // bucket 5: fills a gap
         h.merge(&other);
-        assert_eq!(h.exemplar(2).unwrap().trace_seq, 101);
+        assert_eq!(h.exemplar(2).unwrap().trace_seq, Some(101));
         assert_eq!(h.exemplar(5).unwrap().conn, 8);
 
         // Exemplar-free histograms still serialize identically.
@@ -461,8 +462,8 @@ mod tests {
         plain.record(6);
         plain.record(7);
         let mut tagged = Hist::new();
-        tagged.record_with_exemplar(6, 1, 1);
-        tagged.record_with_exemplar(7, 2, 2);
+        tagged.record_with_exemplar(6, Some(1), 1);
+        tagged.record_with_exemplar(7, Some(2), 2);
         assert_eq!(plain.to_json().render(), tagged.to_json().render());
     }
 

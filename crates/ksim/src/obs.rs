@@ -144,8 +144,9 @@ pub struct ReqSpan {
     /// connection (false for spans that exist only via tail retention).
     pub head_sampled: bool,
     /// Trace sequence number at accept — the exemplar link from a
-    /// histogram bucket back into the trace ring.
-    pub accept_seq: u64,
+    /// histogram bucket back into the trace ring; `None` when the ring
+    /// was off.
+    pub accept_seq: Option<u64>,
 }
 
 /// A burn-rate alert: the monitor's window state at the crossing.
@@ -247,7 +248,7 @@ struct Staged {
     bytes: u64,
     error: Option<&'static str>,
     head_sampled: bool,
-    accept_seq: u64,
+    accept_seq: Option<u64>,
 }
 
 /// The resident observability pipeline; owned by the kernel, driven
@@ -305,7 +306,7 @@ impl Observability {
 
     /// Stage a scratch entry for an accepted connection. Returns the
     /// simulated CPU to charge the accept path.
-    pub fn note_accept(&mut self, now: SimTime, conn: u32, trace_seq: u64) -> Dur {
+    pub fn note_accept(&mut self, now: SimTime, conn: u32, trace_seq: Option<u64>) -> Dur {
         if !self.cfg.enabled {
             return Dur::ZERO;
         }
@@ -483,7 +484,7 @@ mod tests {
     #[test]
     fn disabled_hooks_cost_nothing_and_stage_nothing() {
         let mut o = Observability::new(ObsConfig::off());
-        assert_eq!(o.note_accept(t(0), 1, 0), Dur::ZERO);
+        assert_eq!(o.note_accept(t(0), 1, None), Dur::ZERO);
         o.note_transfer(1, 100, None);
         let out = o.note_close(t(10), 1);
         assert_eq!(out.cost, Dur::ZERO);
@@ -495,7 +496,7 @@ mod tests {
     #[test]
     fn span_stages_accumulates_and_commits_at_close() {
         let mut o = Observability::new(keep_all());
-        let cost = o.note_accept(t(0), 7, 42);
+        let cost = o.note_accept(t(0), 7, Some(42));
         assert_eq!(cost, Dur::from_us(2));
         assert_eq!(o.staged_len(), 1);
         o.note_transfer(7, 4096, None);
@@ -510,13 +511,13 @@ mod tests {
         let s = spans[0];
         assert_eq!(
             (s.conn, s.bytes, s.latency_ns, s.accept_seq),
-            (7, 8192, 1_500_000, 42)
+            (7, 8192, 1_500_000, Some(42))
         );
         assert!(s.head_sampled && !s.over_slo && s.error.is_none());
         // The full hist saw it, with the exemplar pointing back.
         assert_eq!(o.latency().count(), 1);
         let e = o.latency().exemplar_at(0.999).unwrap();
-        assert_eq!((e.conn, e.trace_seq), (7, 42));
+        assert_eq!((e.conn, e.trace_seq), (7, Some(42)));
     }
 
     #[test]
@@ -526,7 +527,7 @@ mod tests {
             ..ObsConfig::on()
         });
         for conn in 0..50u32 {
-            o.note_accept(t(conn as u64), conn, 0);
+            o.note_accept(t(conn as u64), conn, None);
             let out = o.note_close(t(conn as u64 + 10), conn);
             assert_eq!(out.cost, Dur::ZERO, "discard must not charge commit");
         }
@@ -544,11 +545,11 @@ mod tests {
             ..ObsConfig::on()
         });
         // An errored request: fast, but it failed.
-        o.note_accept(t(0), 1, 0);
+        o.note_accept(t(0), 1, None);
         o.note_transfer(1, 100, Some("EIO"));
         o.note_close(t(5), 1);
         // An over-SLO request: clean bytes, too slow (target 500ms).
-        o.note_accept(t(10), 2, 0);
+        o.note_accept(t(10), 2, None);
         o.note_transfer(2, 8192, None);
         o.note_close(t(10 + 600_000), 2);
         let spans: Vec<_> = o.committed_spans().cloned().collect();
@@ -597,19 +598,19 @@ mod tests {
         });
         // 7 fast requests: under min_window_requests, no alert.
         for conn in 0..7u32 {
-            o.note_accept(t(conn as u64 * 10), conn, 0);
+            o.note_accept(t(conn as u64 * 10), conn, None);
             let out = o.note_close(t(conn as u64 * 10 + 5), conn);
             assert!(out.alert.is_none());
         }
         // The 8th is over SLO: window = 8 reqs / 1 viol -> burn 125x.
-        o.note_accept(t(100), 100, 0);
+        o.note_accept(t(100), 100, None);
         let out = o.note_close(t(100 + 200), 100);
         let alert = out.alert.expect("threshold crossing fires");
         assert_eq!(alert.window_req, 8);
         assert_eq!(alert.window_viol, 1);
         assert_eq!(alert.burn_milli, 125_000);
         // Still burning: no re-fire while the excursion lasts.
-        o.note_accept(t(300), 101, 0);
+        o.note_accept(t(300), 101, None);
         let again = o.note_close(t(300 + 200), 101);
         assert!(again.alert.is_none(), "hysteresis holds");
         assert_eq!(o.counters().alerts, 1);
@@ -638,7 +639,7 @@ mod tests {
             ..ObsConfig::on()
         });
         for conn in 0..10u32 {
-            o.note_accept(t(conn as u64), conn, 0);
+            o.note_accept(t(conn as u64), conn, None);
             o.note_close(t(conn as u64 + 1), conn);
         }
         assert_eq!(o.committed_spans().count(), 4);

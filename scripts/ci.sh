@@ -159,15 +159,32 @@ cargo run --release -p bench --bin simspeed
 test -s BENCH_simspeed.json
 
 echo "== perfbench smoke run: the repository benchmark builds, runs and self-checks =="
-# perfbench is its own Cargo workspace, so nothing above builds it.
+# perfbench is its own Cargo workspace, so nothing above builds it. Each
+# workload's simulated fingerprint at seed 1 hashes its simulated
+# results and kernel counters, so it is pinned: a change that moves one
+# changed the benchmark's simulated behaviour.
+declare -A fingerprint_pin=(
+    [copy_scp]=f4e3a62a835ef6b2
+    [copy_cp]=1f68b825abd7e454
+    [serve_ring]=ea8ec9fe2d5c6114
+)
 for wl in copy_scp copy_cp serve_ring; do
     echo "-- perfbench: $wl"
-    last=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload "$wl" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    out=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$wl" --seed 1 --seconds 1 --trace 0)
+    last=$(printf '%s\n' "$out" | tail -n 1)
     case "$last" in
         *'"correct":true'*) ;;
         *) echo "perfbench $wl FAILED: $last"; exit 1 ;;
     esac
+    fp=$(printf '%s\n' "$out" | sed -n 's/^simulated fingerprint //p')
+    if [ "$fp" != "${fingerprint_pin[$wl]}" ]; then
+        echo "perfbench $wl FAILED: simulated fingerprint '$fp' at seed 1, pinned ${fingerprint_pin[$wl]}."
+        echo "The benchmark's simulated behaviour changed. A pin moves only with a"
+        echo "documented artifact refresh: say in CHANGES.md what changed and why."
+        exit 1
+    fi
+    echo "-- perfbench $wl fingerprint $fp matches its pin"
 done
 
 echo "== determinism gate: two seeded runs must emit identical trace bytes =="

@@ -223,9 +223,28 @@ fn served_requests_populate_spans_slo_counters_and_exemplars() {
     // its trace_seq is a real emitted sequence number, and its conn is
     // one of the committed or observed request sockets.
     let (conn, seq) = m.obs.p999_exemplar.expect("requests leave an exemplar");
+    let seq = seq.expect("a traced run links its exemplar into the trace");
     assert!(seq < m.obs.trace_emitted, "exemplar seq beyond the stream");
     let ex = k.obs().latency().exemplar_at(0.999).unwrap();
-    assert_eq!((ex.conn, ex.trace_seq), (conn, seq));
+    assert_eq!((ex.conn, ex.trace_seq), (conn, Some(seq)));
+}
+
+#[test]
+fn an_untraced_fleet_leaves_exemplars_without_a_trace_link() {
+    // With the ring off no trace record exists to point at: the
+    // exemplar still names its connection, but carries no sequence
+    // number (rather than a seq 0 that reads like a real record).
+    let k = served_fleet(KernelBuilder::paper_machine_ram(), 96, ServeMode::Splice);
+    let m = k.metrics();
+    assert_eq!(m.obs.trace_emitted, 0);
+    let (conn, seq) = m.obs.p999_exemplar.expect("requests leave an exemplar");
+    assert_eq!(
+        seq, None,
+        "exemplar of conn {conn} links into an empty ring"
+    );
+    let doc = m.to_json();
+    let ex = doc.get("obs").and_then(|o| o.get("p999_exemplar"));
+    assert_eq!(ex.and_then(|e| e.get("trace_seq")), Some(&Json::Null));
 }
 
 // ---------------------------------------------------------------------------
@@ -344,13 +363,13 @@ fn metrics_do_not_depend_on_the_trace_ring() {
     // Counters and spans are folds of the event stream and the ring is
     // only a sink: turning it on must change nothing in the snapshot
     // but the ring's own accounting. The exemplar's `trace_seq` is a
-    // position in the ring, so it goes too.
+    // position in the ring (absent while it is off), so it goes too.
     let snapshot = |k: &Kernel| {
         let mut m = k.metrics();
         m.obs.trace_emitted = 0;
         m.obs.trace_dropped = 0;
         if let Some((_, seq)) = &mut m.obs.p999_exemplar {
-            *seq = 0;
+            *seq = None;
         }
         m.to_json().render()
     };
